@@ -29,9 +29,15 @@ Row = dict  # column index -> nonzero Fraction
 class SparseRref:
     """Incrementally built reduced row echelon form with sparse rows.
 
-    Invariant: every stored pivot row is normalized (pivot entry 1) and
-    contains no other row's pivot column, so reducing an incoming row is a
-    single elimination pass per pivot column it touches.
+    Invariant: every stored pivot row is normalized (pivot entry 1),
+    contains no other row's pivot column, and has its pivot as its largest
+    column.  The first two make reducing an incoming row a single
+    elimination pass per pivot column it touches.  The third survives
+    insertion: a new row's columns all lie at or below its pivot, and an
+    older row holds that column only below its own pivot, so subtracting
+    a multiple of the new row leaves the older row's largest column alone.
+    It is what makes sparse_nullspace canonical without a further
+    reduction.
     """
 
     def __init__(self):
@@ -57,7 +63,7 @@ class SparseRref:
         row = self.reduce(row)
         if not row:
             return None
-        lead = min(row)
+        lead = max(row)
         inv = 1 / row[lead]
         row = {c: v * inv for c, v in row.items()}
         for prow in self.pivots.values():
@@ -80,7 +86,15 @@ class SparseRref:
 
 def sparse_nullspace(rows: Iterable[Row], ncols: int) -> list[list[Fraction]]:
     """Nullspace basis of the matrix given by sparse rows, as a canonical
-    reduced-echelon list of dense coefficient vectors."""
+    reduced-echelon list of dense coefficient vectors.
+
+    One vector per free column f, in ascending f: e_f minus the f-entries
+    of the pivot rows placed at their pivot columns.  A pivot row holds f
+    only when f lies below its pivot, so f is the vector's first nonzero
+    column, with entry 1, and no other free column appears in it.  The
+    vectors are therefore the unique reduced row echelon form of the
+    nullspace, with the free columns as its pivot columns.
+    """
     rref = SparseRref()
     for row in rows:
         rref.insert(row)
@@ -94,8 +108,7 @@ def sparse_nullspace(rows: Iterable[Row], ncols: int) -> list[list[Fraction]]:
             if coeff:
                 v[c] = -coeff
         vectors.append(v)
-    reduced, _ = dense_rref(vectors)
-    return reduced
+    return vectors
 
 
 def dense_rref(mat: Sequence[Sequence[Fraction]]):

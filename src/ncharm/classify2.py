@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,10 +47,9 @@ from .ncpoly import MatrixPoint, Poly, Word, evaluate, word
 from .positivity import (
     SampleConfig,
     Witness,
-    draw_symmetric,
+    draw_point,
     min_eigenvalue,
     sample_matrix_positive,
-    substream,
 )
 
 __all__ = [
@@ -165,17 +165,12 @@ class GramForm:
     """p expressed as vec^T Phi vec over an arranged harmonic list.
 
     vectors lists s-elements (symmetric) first, then u-elements, then their
-    transposes; transpose_perm[a] is the index of vectors[a]^T.  The exact
-    identity is p = sum_ab phi[a][b] * vectors[a]^T * vectors[b], with phi
-    symmetric; psi_raw is the unsymmetrized coefficient matrix.
+    transposes.  The exact identity is
+    p = sum_ab phi[a][b] * vectors[a]^T * vectors[b], with phi symmetric.
     """
 
     vectors: tuple
-    s_count: int
-    u_count: int
-    transpose_perm: tuple
     phi: tuple
-    psi_raw: tuple
 
     def reconstruct(self) -> Poly:
         return _gram_reconstruct(self.vectors, self.phi)
@@ -337,14 +332,7 @@ def gram_from_neighbors(p: Poly) -> GramForm:
     phi = [
         [(psi_raw[a][b] + psi_raw[b][a]) / 2 for b in range(nv)] for a in range(nv)
     ]
-    form = GramForm(
-        vectors=vectors,
-        s_count=sum(1 for v in vectors if v.is_symmetric()),
-        u_count=(nv - sum(1 for v in vectors if v.is_symmetric())) // 2,
-        transpose_perm=perm,
-        phi=tuple(tuple(row) for row in phi),
-        psi_raw=tuple(tuple(row) for row in psi_raw),
-    )
+    form = GramForm(vectors=vectors, phi=tuple(tuple(row) for row in phi))
     if form.reconstruct() != p:
         raise AssertionError("gram form failed exact reconstruction")
     return form
@@ -478,23 +466,21 @@ def degree4_family(B: Degree4Coeffs) -> Poly:
     """The six-parameter symmetric degree-4 family spanned by the b-slots."""
     p = Poly.zero(2)
     groups = [
-        (B.b1, ["x1*x1*x1*x1", "-x1*x1*x2*x2", "-x2*x2*x1*x1", "x2*x2*x2*x2"]),
-        (B.b2, ["x1*x1*x1*x2", "x2*x1*x1*x1", "-x2*x1*x2*x2", "-x2*x2*x1*x2"]),
-        (B.b3, ["x1*x1*x2*x1", "x1*x2*x1*x1", "-x1*x2*x2*x2", "-x2*x2*x2*x1"]),
-        (B.b4, ["x1*x2*x1*x2", "x2*x1*x2*x1"]),
-        (B.b5, ["x1*x2*x2*x1"]),
-        (B.b6, ["x2*x1*x1*x2"]),
+        (B.b1, [(1, word(1, 1, 1, 1)), (-1, word(1, 1, 2, 2)),
+                (-1, word(2, 2, 1, 1)), (1, word(2, 2, 2, 2))]),
+        (B.b2, [(1, word(1, 1, 1, 2)), (1, word(2, 1, 1, 1)),
+                (-1, word(2, 1, 2, 2)), (-1, word(2, 2, 1, 2))]),
+        (B.b3, [(1, word(1, 1, 2, 1)), (1, word(1, 2, 1, 1)),
+                (-1, word(1, 2, 2, 2)), (-1, word(2, 2, 2, 1))]),
+        (B.b4, [(1, word(1, 2, 1, 2)), (1, word(2, 1, 2, 1))]),
+        (B.b5, [(1, word(1, 2, 2, 1))]),
+        (B.b6, [(1, word(2, 1, 1, 2))]),
     ]
     for coeff, monos in groups:
         if not coeff:
             continue
-        for mono in monos:
-            sign = 1
-            if mono.startswith("-"):
-                sign = -1
-                mono = mono[1:]
-            letters = bytes(int(ch[1]) for ch in mono.split("*"))
-            p = p + Poly.monomial(2, letters, sign * coeff)
+        for sign, w in monos:
+            p = p + Poly.monomial(2, w, sign * coeff)
     return p
 
 
@@ -524,6 +510,7 @@ def degree4_coefficients(p: Poly) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _membership_generators(d: int):
     """Generators (Re gam^d)^2, Re gam^(2d), Im gam^(2d) as coefficient
     rows, with an explicit rank-3 independence check."""
@@ -538,9 +525,6 @@ def _membership_generators(d: int):
     return gens, rows, index
 
 
-_membership_cache: dict = {}
-
-
 def high_even_membership(p: Poly) -> Optional[tuple]:
     """Exact (c0, c1, c2) with p = c0*(Re gam^d)^2 + c1*Re gam^(2d)
     + c2*Im gam^(2d), or None when p lies outside that family.
@@ -553,9 +537,7 @@ def high_even_membership(p: Poly) -> Optional[tuple]:
     if deg is None or deg % 2 or deg // 2 <= 2:
         raise ValueError("degree must be 2d with d > 2")
     d = deg // 2
-    if d not in _membership_cache:
-        _membership_cache[d] = _membership_generators(d)
-    gens, rows, index = _membership_cache[d]
+    gens, rows, index = _membership_generators(d)
     if any(w not in index for w in p._terms):
         return None
     coeffs = express_over_rows(rows, _vector_over_words(p, index))
@@ -590,12 +572,9 @@ def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
     flip_tries = min(cfg.samples_per_size, 8)
     for n in cfg.sizes:
         for s in range(flip_tries):
-            X = tuple(
-                draw_symmetric(substream(cfg.seed, n, s, slot), n, cfg.entry_range)
-                for slot in range(g)
-            )
-            H = draw_symmetric(substream(cfg.seed, n, s, g), n, cfg.entry_range)
-            M = evaluate(lap, MatrixPoint(X=X, H=H))
+            pt = draw_point(cfg, g, n, s, True)
+            X, H = pt.X, pt.H
+            M = evaluate(lap, pt)
             M = (M + M.T) / 2.0
             eigs = np.linalg.eigvalsh(M)
             if eigs[0] < -cfg.tol:
@@ -640,11 +619,12 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
         )
 
     if d == 2:
+        # Lap(a*x1^2 + b*x2^2 + ...) = 2*(a + b)*h^2.
         trace = p.coefficient(word(1, 1)) + p.coefficient(word(2, 2))
         if trace > 0:
             return Verdict(
                 kind="PurelySubharmonicCertified",
-                reason=f"Laplacian equals ({trace})*h^2",
+                reason=f"Laplacian equals ({2 * trace})*h^2",
             )
         if trace == 0:
             return Verdict(kind="Harmonic", reason="Laplacian is exactly zero")
@@ -652,12 +632,12 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
             n=1,
             X=(np.zeros((1, 1)), np.zeros((1, 1))),
             H=np.array([[1.0]]),
-            min_eig=float(trace),
+            min_eig=float(2 * trace),
             sample_index=0,
         )
         return Verdict(
             kind="NotSubharmonic",
-            reason=f"Laplacian equals ({trace})*h^2 with negative trace",
+            reason=f"Laplacian equals ({2 * trace})*h^2 with negative trace",
             witness=witness,
         )
 

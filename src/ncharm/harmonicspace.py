@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional
 
-from ._exactla import dense_rref, sparse_nullspace
+from ._exactla import sparse_nullspace
 from .ncpoly import H_LETTER, Poly, Word, word_key
 from .calculus import laplacian
 
@@ -143,9 +143,8 @@ def harmonic_basis(g: int, d: int) -> HarmonicBasis:
     system = laplacian_coefficient_matrix(g, d)
     ncols = len(system.col_words)
     vectors = sparse_nullspace((r for r in system.rows if r), ncols)
-    reduced, pivot_cols = dense_rref(vectors)
     elements = []
-    for vec in reduced:
+    for vec in vectors:
         p = Poly(g, {w: c for w, c in zip(system.col_words, vec) if c})
         if not laplacian(p).is_zero():
             raise AssertionError("nullspace element failed exact harmonicity")
@@ -155,8 +154,9 @@ def harmonic_basis(g: int, d: int) -> HarmonicBasis:
         d=d,
         elements=tuple(elements),
         word_index=system.col_words,
-        coeff_rows=tuple(tuple(row) for row in reduced),
-        pivot_cols=tuple(pivot_cols),
+        coeff_rows=tuple(tuple(row) for row in vectors),
+        # Each vector's first nonzero entry is a 1 at its free column.
+        pivot_cols=tuple(vec.index(1) for vec in vectors),
     )
 
 

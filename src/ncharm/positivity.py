@@ -25,6 +25,7 @@ __all__ = [
     "SplitMix64",
     "substream",
     "draw_symmetric",
+    "draw_point",
     "SampleConfig",
     "Witness",
     "SampleVerdict",
@@ -61,18 +62,12 @@ class SplitMix64:
         return (2.0 * self.next_unit() - 1.0) * bound
 
 
-def _scramble(v: int) -> int:
-    v = (v + 0x9E3779B97F4A7C15) & _MASK
-    v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & _MASK
-    return v ^ (v >> 31)
-
-
 def substream(*key_parts: int) -> SplitMix64:
-    """Deterministic substream keyed by a tuple of integers."""
+    """Deterministic substream keyed by a tuple of integers: each part is
+    folded into the key by one splitmix64 output step."""
     s = 0
     for part in key_parts:
-        s = _scramble(s ^ (int(part) & _MASK))
+        s = SplitMix64(s ^ int(part)).next_u64()
     return SplitMix64(s)
 
 
@@ -114,9 +109,6 @@ class Witness:
     H: Optional[np.ndarray]
     min_eig: float
     sample_index: int
-
-    def point(self) -> MatrixPoint:
-        return MatrixPoint(X=self.X, H=self.H)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,18 +180,22 @@ def min_eigenvalue(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def _draw_point(
-    p: Poly, cfg: SampleConfig, n: int, sample: int, with_h: bool
+def _draw_slot(cfg: SampleConfig, n: int, sample: int, slot: int) -> np.ndarray:
+    return draw_symmetric(substream(cfg.seed, n, sample, slot), n, cfg.entry_range)
+
+
+def draw_point(
+    cfg: SampleConfig, g: int, n: int, sample: int, with_h: bool
 ) -> MatrixPoint:
-    X = tuple(
-        draw_symmetric(substream(cfg.seed, n, sample, slot), n, cfg.entry_range)
-        for slot in range(p.g)
-    )
-    H = (
-        draw_symmetric(substream(cfg.seed, n, sample, p.g), n, cfg.entry_range)
-        if with_h
-        else None
-    )
+    """The sample-th n x n point of cfg: X_i from slot i - 1 and, when
+    with_h, H from slot g.
+
+    Every sampler draws through here or its per-slot draw, so a matrix
+    depends only on its key (seed, size, sample, slot) and never on which
+    search asked for it.
+    """
+    X = tuple(_draw_slot(cfg, n, sample, slot) for slot in range(g))
+    H = _draw_slot(cfg, n, sample, g) if with_h else None
     return MatrixPoint(X=X, H=H)
 
 
@@ -218,7 +214,7 @@ def sample_matrix_positive(p: Poly, cfg: SampleConfig) -> SampleVerdict:
     min_seen = float("inf")
     for n in cfg.sizes:
         for s in range(cfg.samples_per_size):
-            pt = _draw_point(p, cfg, n, s, needs_h)
+            pt = draw_point(cfg, p.g, n, s, needs_h)
             me = min_eigenvalue(evaluate(p, pt))
             tested += 1
             min_seen = min(min_seen, me)
@@ -264,7 +260,7 @@ def subharmonic_at_point(
     if psd:
         return PointVerdict(kind="CertifiedAllH")
     for s in range(cfg.h_samples):
-        H = draw_symmetric(substream(cfg.seed, n, s, p.g), n, cfg.entry_range)
+        H = _draw_slot(cfg, n, s, p.g)
         me = min_eigenvalue(evaluate(lap, MatrixPoint(X=X, H=H)))
         if me < -cfg.tol:
             return PointVerdict(

@@ -328,6 +328,17 @@ class TestClassify:
         assert verdict.witness is not None
         assert classify(parse("x1^2 - x2^2 + 7*x1*x2", 2), CFG).kind == "Harmonic"
 
+    def test_degree_two_witness(self):
+        p = parse("x1^2 - 3*x2^2", 2)
+        v = classify(p, CFG)
+        assert v.reason == "Laplacian equals (-4)*h^2 with negative trace"
+        w = v.witness
+        reproduced = min_eigenvalue(evaluate(laplacian(p), MatrixPoint(X=w.X, H=w.H)))
+        assert abs(reproduced - w.min_eig) <= 1e-10
+        assert classify(parse("x1^2 + x2^2", 2), CFG).reason == (
+            "Laplacian equals (4)*h^2"
+        )
+
     def test_degree_two_nonsymmetric_allowed(self):
         assert classify(parse("x1^2 + x2^2 + x1*x2", 2), CFG).kind == (
             "PurelySubharmonicCertified"

@@ -82,8 +82,10 @@ class TestNullspace:
             for vec in basis:
                 for row in rows:
                     assert sum(vec[j] * v for j, v in row.items()) == 0
-            # Canonical: recomputing yields the identical basis.
+            # Canonical: recomputing yields the identical basis, which is
+            # already in reduced row echelon form.
             assert sparse_nullspace(rows, ncols) == basis
+            assert dense_rref(basis)[0] == basis
 
     def test_rref_shape(self):
         rows, pivots = dense_rref(

@@ -134,6 +134,14 @@ class TestHarmonicBasis:
             ]
             assert nullity_oracle(dense, len(cols)) == expected
 
+    @pytest.mark.parametrize(
+        "g, d, dim",
+        [(3, d, dim) for d, dim in enumerate([3, 8, 18, 30, 47, 68], 1)]
+        + [(4, d, dim) for d, dim in enumerate([4, 15, 52, 163, 444], 1)],
+    )
+    def test_pinned_dimensions(self, g, d, dim):
+        assert harmonic_basis(g, d).dimension == dim
+
     def test_one_var_has_no_high_harmonics(self):
         assert harmonic_basis(1, 1).dimension == 1
         for d in range(2, 5):

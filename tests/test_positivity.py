@@ -111,6 +111,11 @@ class TestSplitMix:
         assert substream(1, 2, 3).next_u64() == substream(1, 2, 3).next_u64()
         assert substream(1, 2, 3).next_u64() != substream(1, 3, 2).next_u64()
 
+    def test_substream_pinned_values(self):
+        assert substream(1, 2, 3).next_u64() == 1321962074176129191
+        assert substream(0).next_u64() == 12035550249420947055
+        assert substream(2009, 4, 1, 2).next_u64() == 6503644589192167711
+
     def test_draw_symmetric(self):
         M = draw_symmetric(substream(5, 3), 4, 1.0)
         assert np.array_equal(M, M.T)
