@@ -25,9 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._exactla import (
     congruence_diagonalize,
@@ -44,13 +42,9 @@ from .harmonicspace import (
     harmonic_basis,
 )
 from .ncpoly import MatrixPoint, Poly, Word, evaluate, word
-from .positivity import (
-    SampleConfig,
-    Witness,
-    draw_point,
-    min_eigenvalue,
-    sample_matrix_positive,
-)
+
+if TYPE_CHECKING:
+    from .positivity import SampleConfig, Witness
 
 __all__ = [
     "NeighborDecomposition",
@@ -568,6 +562,10 @@ def _negate_tuple(X):
 def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
     """Witness search for odd total degree: the Laplacian is odd in x, so
     if a sampled point is positive, flipping the sign of X flips it."""
+    import numpy as np
+
+    from .positivity import Witness, draw_point, min_eigenvalue, sample_matrix_positive
+
     g = lap.g
     flip_tries = min(cfg.samples_per_size, 8)
     for n in cfg.sizes:
@@ -594,6 +592,10 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
     record, membership coefficients, or an exact PSD Gram form); refutations
     carry a numeric witness or an exact algebraic obstruction.
     """
+    import numpy as np
+
+    from .positivity import SampleConfig, Witness, sample_matrix_positive
+
     if cfg is None:
         cfg = SampleConfig()
     if p.g != 2:

@@ -10,6 +10,10 @@ verdict from classify or sample (pipeline friendly), 2 parse or validation
 errors.  All diagnostics go to stderr; results go to stdout and are byte
 deterministic for a fixed seed.  The environment variable NCHARM_SEED
 supplies a default seed; an explicit --seed flag overrides it.
+
+Each subcommand imports the modules it needs when it runs.  numpy loads
+only for eval, sample and classify, so the exact subcommands start without
+it.
 """
 
 from __future__ import annotations
@@ -17,14 +21,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import classify2, harmonicspace, middlematrix, positivity
 from .calculus import (
     commutative_collapse,
     commutative_laplacian,
@@ -42,6 +45,9 @@ from .ncpoly import (
     symmetrize,
 )
 
+if TYPE_CHECKING:
+    from . import classify2, positivity
+
 __all__ = ["main", "run", "emit_json"]
 
 
@@ -51,12 +57,15 @@ __all__ = ["main", "run", "emit_json"]
 
 
 def _fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot write the non-finite number {x!r} as JSON")
     return format(float(x), ".17g")
 
 
 def emit_json(obj) -> str:
     """Serialize with stable field order, rationals as "num/den" strings and
-    doubles at 17 significant digits."""
+    doubles at 17 significant digits.  nan and inf raise ValueError, since
+    JSON has no spelling for them."""
     out: list[str] = []
     _emit(obj, out)
     return "".join(out)
@@ -91,10 +100,12 @@ def _emit(obj, out: list) -> None:
                 out.append(",")
             _emit(v, out)
         out.append("]")
-    elif isinstance(obj, np.ndarray):
-        _emit([[float(v) for v in row] for row in np.atleast_2d(obj)], out)
     else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        import numpy as np
+
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+        _emit([[float(v) for v in row] for row in np.atleast_2d(obj)], out)
 
 
 def _witness_obj(w: positivity.Witness) -> dict:
@@ -227,11 +238,13 @@ def _read_poly(args, stdin) -> Poly:
 
 
 def _sample_config(args) -> positivity.SampleConfig:
+    from .positivity import SampleConfig
+
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("NCHARM_SEED", "0"))
     sizes = tuple(int(s) for s in str(args.sizes).split(",") if s)
-    return positivity.SampleConfig(
+    return SampleConfig(
         seed=seed, sizes=sizes, samples_per_size=args.samples, tol=args.tol
     )
 
@@ -281,6 +294,8 @@ def _cmd_collapse_check(args, stdin, out) -> int:
 
 
 def _cmd_harmonic_basis(args, stdin, out) -> int:
+    from . import harmonicspace
+
     basis = harmonicspace.harmonic_basis(args.vars, args.degree)
     if args.json:
         obj = {
@@ -298,6 +313,8 @@ def _cmd_harmonic_basis(args, stdin, out) -> int:
 
 
 def _cmd_middle_matrix(args, stdin, out) -> int:
+    from . import middlematrix
+
     q = _read_poly(args, stdin)
     rep = middlematrix.extract(q)
     if args.json:
@@ -318,6 +335,8 @@ def _cmd_middle_matrix(args, stdin, out) -> int:
 
 
 def _cmd_classify(args, stdin, out) -> int:
+    from . import classify2
+
     p = _read_poly(args, stdin)
     verdict = classify2.classify(p, _sample_config(args))
     if args.json:
@@ -345,6 +364,8 @@ def _cmd_classify(args, stdin, out) -> int:
 
 
 def _cmd_sos(args, stdin, out) -> int:
+    from . import classify2
+
     p = _read_poly(args, stdin)
     dec = classify2.sos_decompose(p)
     if args.json:
@@ -361,6 +382,8 @@ def _cmd_sos(args, stdin, out) -> int:
 
 
 def _cmd_odd_sandwich(args, stdin, out) -> int:
+    from . import classify2
+
     p = _read_poly(args, stdin)
     s = classify2.odd_sandwich(p)
     if args.json:
@@ -387,6 +410,8 @@ def _cmd_odd_sandwich(args, stdin, out) -> int:
 
 
 def _cmd_eval(args, stdin, out) -> int:
+    import numpy as np
+
     p = _read_poly(args, stdin)
     with open(args.point, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -401,6 +426,8 @@ def _cmd_eval(args, stdin, out) -> int:
 
 
 def _cmd_sample(args, stdin, out) -> int:
+    from . import positivity
+
     p = _read_poly(args, stdin)
     verdict = positivity.sample_matrix_positive(p, _sample_config(args))
     obj: dict = {

@@ -20,7 +20,7 @@ from itertools import combinations, product
 from typing import Optional
 
 from ._exactla import sparse_nullspace
-from .ncpoly import H_LETTER, Poly, Word, word_key
+from .ncpoly import H_LETTER, Poly, Word, check_num_vars, word_key
 from .calculus import laplacian
 
 __all__ = [
@@ -99,6 +99,7 @@ def laplacian_coefficient_matrix(g: int, d: int) -> LaplacianSystem:
     """Exact coefficient matrix whose nullspace is the degree-d harmonics."""
     if g < 1 or d < 1:
         raise ValueError("need g >= 1 and d >= 1")
+    check_num_vars(g)
     col_words = enumerate_words(g, d)
     row_words = _two_h_words(g, d)
     row_index = {w: i for i, w in enumerate(row_words)}

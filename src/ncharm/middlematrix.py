@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .ncpoly import H_LETTER, MatrixPoint, Poly, Word, evaluate, word_key
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MiddleMatrixRep",
@@ -124,6 +125,8 @@ def evaluate_middle(rep: MiddleMatrixRep, X: Sequence[np.ndarray]) -> np.ndarray
     Returns the (N*n) x (N*n) matrix symmetrized by averaging with its
     transpose to remove floating point skew.
     """
+    import numpy as np
+
     point = MatrixPoint(X=tuple(X))
     n = point.n
     N = rep.size

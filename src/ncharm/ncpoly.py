@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "H_LETTER",
@@ -55,6 +56,17 @@ ScalarLike = Union[int, Fraction]
 
 # h sorts after every variable: remap letter 0 to 255 before comparing.
 _ORDER_TABLE = bytes([255] + list(range(1, 256)))
+
+# x255 would share h's sort key, so the word order is total only below it.
+MAX_VARS = 254
+
+
+def check_num_vars(g: int) -> None:
+    """Reject a variable count outside 0..MAX_VARS."""
+    if g < 0:
+        raise ValueError("num_vars must be nonnegative")
+    if g > MAX_VARS:
+        raise ValueError(f"num_vars must be at most {MAX_VARS}, got {g}")
 
 
 def word(*letters: int) -> Word:
@@ -105,8 +117,7 @@ class Poly:
     __slots__ = ("g", "_terms")
 
     def __init__(self, g: int, terms: Optional[dict] = None):
-        if g < 0:
-            raise ValueError("num_vars must be nonnegative")
+        check_num_vars(g)
         self.g = g
         clean: dict[Word, Fraction] = {}
         if terms:
@@ -487,6 +498,7 @@ def parse(text: str, num_vars: int) -> Poly:
     Raises ParseError (with character position) on malformed input or a
     variable index exceeding num_vars.
     """
+    check_num_vars(num_vars)
     return _Parser(text, num_vars).parse()
 
 
@@ -521,6 +533,8 @@ def degree_profile(p: Poly) -> DegreeProfile:
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Mirror the upper triangle into the lower one."""
+    import numpy as np
+
     M = np.asarray(M, dtype=float)
     return np.triu(M) + np.triu(M, 1).T
 
@@ -533,6 +547,8 @@ class MatrixPoint:
     H: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        import numpy as np
+
         X = tuple(np.asarray(M, dtype=float) for M in self.X)
         object.__setattr__(self, "X", X)
         if not X:
@@ -543,7 +559,9 @@ class MatrixPoint:
             M = np.asarray(M, dtype=float)
             if M.shape != (n, n):
                 raise ValueError("all matrices must share one square shape")
-            if not np.array_equal(M, M.T):
+            if not np.isfinite(M).all():
+                raise ValueError("matrix entries must be finite numbers")
+            if not (M == M.T).all():
                 raise ValueError("matrices must be exactly symmetric; "
                                  "use symmetrize() when building them")
         if self.H is not None:
@@ -560,6 +578,8 @@ def evaluate(p: Poly, pt: MatrixPoint) -> np.ndarray:
     Every matrix in pt must be n x n; the result is the n x n real matrix
     obtained by substituting pt.X[i-1] for x_i and pt.H for h.
     """
+    import numpy as np
+
     if len(pt.X) < p.g and any(
         letter > len(pt.X) for w in p._terms for letter in w
     ):

@@ -12,6 +12,7 @@ direction H at that point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -95,8 +96,14 @@ class SampleConfig:
     def __post_init__(self):
         if not self.sizes or any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be nonempty with every entry >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.samples_per_size < 1:
+            raise ValueError("samples_per_size must be at least 1")
+        if self.h_samples < 1:
+            raise ValueError("h_samples must be at least 1")
+        for name in ("tol", "entry_range"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         object.__setattr__(self, "sizes", tuple(self.sizes))
 
 

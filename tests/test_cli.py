@@ -1,7 +1,68 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from ncharm import parse
 from ncharm.cli import emit_json, run
+
+# Pinned stdout: label -> argv, where "{point}" stands for a point file
+# holding PINNED_POINT.  tests/cli_goldens.json holds each case's exit code
+# and stdout, captured from the CLI before its imports were made lazy; a
+# change to any of them is a change of output.
+PINNED_POINT = {
+    "X": [[[1.5, -0.25], [-0.25, 2.0]], [[0.0, 1.0], [1.0, -0.5]]],
+    "H": [[0.5, 0.125], [0.125, -1.0]],
+}
+PINNED_CASES = {
+    "derive.text": ["derive", "--var", "1", "x1^2*x2 + x2*x1^2"],
+    "derive.json": ["derive", "--json", "--var", "2", "x1^2*x2 + x2*x1^2"],
+    "laplacian.text": ["laplacian", "x1^4 - 2*x1*x2^2*x1"],
+    "laplacian.json": ["laplacian", "--json", "--vars", "3", "x1*x2*x3 + x3*x2*x1"],
+    "collapse-check.text": ["collapse-check", "x1^2*x2^2 + x2^2*x1^2"],
+    "collapse-check.json": ["collapse-check", "--json", "x1^3*x2 + 5"],
+    "harmonic-basis.text": ["harmonic-basis", "--vars", "2", "--degree", "4"],
+    "harmonic-basis.json": ["harmonic-basis", "--json", "--vars", "3", "--degree", "2"],
+    "middle-matrix.text": ["middle-matrix", "h*x1*h + h*x2^2*h + x1*h^2*x1"],
+    "middle-matrix.json": ["middle-matrix", "--json", "h*x1*h + h*x2^2*h + x1*h^2*x1"],
+    "classify.certified": ["classify", "x1^2 + x2^2"],
+    "classify.degree2.json": ["classify", "--json", "x1^2 - 3*x2^2"],
+    "classify.odd": ["classify", "--seed", "7", "--samples", "20", "x1^3 + x2^3"],
+    "classify.degree4": ["classify", "--seed", "7", "--samples", "20", "x1^4 + x2^4"],
+    "classify.family.json": ["classify", "--json", "--seed", "7", "--samples", "20",
+                             "x1^6 - x2^6"],
+    "sos.text": ["sos", "x1^4 - x1^2*x2^2 - x2^2*x1^2 + x2^4"],
+    "sos.json": ["sos", "--json", "x1^4 - x1^2*x2^2 - x2^2*x1^2 + x2^4"],
+    "odd-sandwich.text": ["odd-sandwich", "x1^3 - x1*x2^2 - x2*x1*x2 - x2^2*x1"],
+    "odd-sandwich.json": ["odd-sandwich", "--json", "x1^3 - x1*x2^2 - x2*x1*x2 - x2^2*x1"],
+    "eval.x": ["eval", "--point", "{point}", "x1*x2 + x2*x1 + 3*x2^2"],
+    "eval.h.json": ["eval", "--json", "--point", "{point}", "h*x1*h + x2 - 1/3"],
+    "sample.counterexample": ["sample", "--seed", "3", "--samples", "20", "x1^3 + x2*x1*x2"],
+    "sample.clean": ["sample", "--seed", "3", "--samples", "5", "--sizes", "1,2",
+                     "x1^2 + x2^2"],
+    "sample.with-h": ["sample", "--seed", "5", "--samples", "10", "h*x1*h"],
+}
+PINNED = json.loads((Path(__file__).with_name("cli_goldens.json")).read_text("utf-8"))
+
+
+def run_pinned(label: str, tmp_path: Path) -> list:
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(PINNED_POINT), encoding="utf-8")
+    argv = [str(point) if a == "{point}" else a for a in PINNED_CASES[label]]
+    code, out, _ = run(argv)
+    return [code, out]
+
+
+class TestPinnedOutputs:
+    def test_every_subcommand_is_pinned(self):
+        assert sorted(PINNED) == sorted(PINNED_CASES)
+        commands = {argv[0] for argv in PINNED_CASES.values()}
+        assert len(commands) == 10
+
+    @pytest.mark.parametrize("label", sorted(PINNED_CASES))
+    def test_stdout_and_exit_code(self, label, tmp_path, monkeypatch):
+        monkeypatch.delenv("NCHARM_SEED", raising=False)
+        assert run_pinned(label, tmp_path) == PINNED[label]
 
 
 class TestDerive:
@@ -257,6 +318,44 @@ class TestInputHandling:
         assert code == 2
 
 
+class TestInputDomain:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample", "--samples", "0", "x1^3"], "samples_per_size must be at least 1"),
+            (["classify", "--samples", "0", "x1^6-x2^6"], "samples_per_size must be at least 1"),
+            (["classify", "--tol", "nan", "x1^6-x2^6"], "tol must be a finite number > 0"),
+            (["sample", "--tol", "-1", "x1^2"], "tol must be a finite number > 0"),
+            (["laplacian", "--vars", "255", "x1^2"], "num_vars must be at most 254"),
+            (["laplacian", "--vars", "300", "x256^2"], "num_vars must be at most 254"),
+            (["harmonic-basis", "--vars", "300", "--degree", "1"],
+             "num_vars must be at most 254"),
+        ],
+    )
+    def test_rejected_with_exit_two(self, argv, message):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_largest_variable_count(self):
+        assert run(["laplacian", "--vars", "254", "x254^2"]) == (0, "2*h^2\n", "")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_eval_overflow_is_not_printed(self, tmp_path):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"X": [[[1e200]], [[1.0]]]}))
+        code, out, err = run(["eval", "--point", str(point), "x1^2"])
+        assert (code, out) == (2, "")
+        assert "non-finite" in err
+
+    def test_eval_names_non_finite_input(self, tmp_path):
+        point = tmp_path / "point.json"
+        point.write_text('{"X": [[[1.0, NaN], [NaN, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]}')
+        code, out, err = run(["eval", "--point", str(point), "x1"])
+        assert (code, out) == (2, "")
+        assert "matrix entries must be finite numbers" in err
+
+
 class TestEmitJson:
     def test_fraction_and_float_formats(self):
         from fractions import Fraction
@@ -265,6 +364,11 @@ class TestEmitJson:
             {"a": Fraction(1, 3), "b": 0.1, "c": [1, None, True], "d": "x"}
         )
         assert text == '{"a":"1/3","b":0.10000000000000001,"c":[1,null,true],"d":"x"}'
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_refuses_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            emit_json({"x": [1.0, bad]})
 
     def test_round_trip_is_valid_json(self):
         obj = json.loads(emit_json({"x": [1.5, -2.0], "y": {"z": 3}}))

@@ -69,6 +69,14 @@ class TestParse:
             parse("x3", 2)
         assert "out of range" in str(info.value)
 
+    def test_variable_count_cap(self):
+        assert parse("x254^2", 254) == Poly.variable(254, 254) ** 2
+        for g in (255, 300):
+            with pytest.raises(ValueError, match="at most 254"):
+                parse("x1", g)
+            with pytest.raises(ValueError, match="at most 254"):
+                Poly(g)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("x1 x2", 2)
@@ -206,6 +214,14 @@ class TestEvaluate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MatrixPoint(X=(np.eye(2), np.eye(3)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_rejected(self, bad):
+        M = np.array([[1.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            MatrixPoint(X=(np.eye(2), M))
+        with pytest.raises(ValueError, match="finite"):
+            MatrixPoint(X=(np.eye(2), np.eye(2)), H=M)
 
 
 class TestDegreeProfile:

@@ -122,6 +122,32 @@ class TestSplitMix:
         assert np.max(np.abs(M)) <= 1.0
 
 
+class TestSampleConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("samples_per_size", 0),
+            ("samples_per_size", -3),
+            ("h_samples", 0),
+            ("tol", 0.0),
+            ("tol", float("inf")),
+            ("tol", float("nan")),
+            ("entry_range", 0.0),
+            ("entry_range", -1.0),
+            ("entry_range", float("inf")),
+            ("entry_range", float("nan")),
+        ],
+    )
+    def test_rejects_out_of_domain(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SampleConfig(**{field: value})
+
+    def test_smallest_valid_settings(self):
+        cfg = SampleConfig(samples_per_size=1, h_samples=1, tol=1e-300, entry_range=1e-3)
+        verdict = sample_matrix_positive(parse("x1^2", 2), cfg)
+        assert verdict.samples_tested == len(cfg.sizes)
+
+
 class TestSampleMatrixPositive:
     def test_square_has_no_counterexample(self):
         verdict = sample_matrix_positive(parse("x1^2", 2), SampleConfig(seed=1))
