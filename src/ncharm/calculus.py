@@ -18,6 +18,7 @@ the classical Laplacian, which commutative_laplacian computes.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -69,15 +70,22 @@ def laplacian(p: Poly) -> Poly:
 
     Every word of the result contains exactly two h letters.  Equals the
     sum over i of the second t-derivative of p(..., x_i + t*h, ...) at 0.
+
+    Contributions are summed as integer numerators over the least common
+    denominator L of the coefficients, and each output word builds its
+    Fraction once.  A running sum is zero exactly when the Fraction sum
+    would be, so terms are deleted and reinserted, and the result ordered,
+    as a Fraction accumulation would leave them.
     """
     _require_h_free(p, "laplacian")
-    out: dict[Word, Fraction] = {}
+    L = math.lcm(*(c.denominator for c in p._terms.values()))
+    out: dict[Word, int] = {}
     h = bytes([H_LETTER])
     for w, c in p._terms.items():
         positions: dict[int, list[int]] = {}
         for pos, letter in enumerate(w):
             positions.setdefault(letter, []).append(pos)
-        c2 = 2 * c
+        c2 = 2 * c.numerator * (L // c.denominator)
         for occ in positions.values():
             if len(occ) < 2:
                 continue
@@ -92,7 +100,7 @@ def laplacian(p: Poly) -> Poly:
                         out[new] = s
                     else:
                         del out[new]
-    return Poly._raw(p.g, out)
+    return Poly._raw(p.g, {w: Fraction(v, L) for w, v in out.items()})
 
 
 class CommPoly:

@@ -41,7 +41,7 @@ from .harmonicspace import (
     gamma_power_parts,
     harmonic_basis,
 )
-from .ncpoly import MatrixPoint, Poly, Word, evaluate, word
+from .ncpoly import EvalPlan, Poly, Word, word
 
 if TYPE_CHECKING:
     from .positivity import SampleConfig, Witness
@@ -567,19 +567,20 @@ def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
     from .positivity import Witness, draw_point, min_eigenvalue, sample_matrix_positive
 
     g = lap.g
+    plan = EvalPlan.of(lap)
     flip_tries = min(cfg.samples_per_size, 8)
     for n in cfg.sizes:
         for s in range(flip_tries):
             pt = draw_point(cfg, g, n, s, True)
             X, H = pt.X, pt.H
-            M = evaluate(lap, pt)
+            M = plan.run([H, *X])[0]
             M = (M + M.T) / 2.0
             eigs = np.linalg.eigvalsh(M)
             if eigs[0] < -cfg.tol:
                 return Witness(n=n, X=X, H=H, min_eig=float(eigs[0]), sample_index=s)
             if eigs[-1] > cfg.tol:
                 Xn = _negate_tuple(X)
-                me = min_eigenvalue(evaluate(lap, MatrixPoint(X=Xn, H=H)))
+                me = min_eigenvalue(plan.run([H, *Xn])[0])
                 if me < -cfg.tol:
                     return Witness(n=n, X=Xn, H=H, min_eig=me, sample_index=s)
     return sample_matrix_positive(lap, cfg).witness

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .ncpoly import H_LETTER, MatrixPoint, Poly, Word, evaluate, word_key
+from .ncpoly import H_LETTER, EvalPlan, MatrixPoint, Poly, Word, word_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,19 +122,19 @@ def zeroes_violation(rep: MiddleMatrixRep) -> Optional[tuple[int, int]]:
 def evaluate_middle(rep: MiddleMatrixRep, X: Sequence[np.ndarray]) -> np.ndarray:
     """Block evaluation of Z at X: block (i, j) is Z_ij(X).
 
-    Returns the (N*n) x (N*n) matrix symmetrized by averaging with its
-    transpose to remove floating point skew.
+    The middle words of every cell share one compiled plan, and each cell
+    sums its own terms in its own order.  Returns the (N*n) x (N*n) matrix
+    symmetrized by averaging with its transpose to remove floating point
+    skew.
     """
     import numpy as np
 
     point = MatrixPoint(X=tuple(X))
     n = point.n
     N = rep.size
+    cells = [(i, j) for i in range(N) for j in range(N) if not rep.Z[i][j].is_zero()]
+    values = EvalPlan([rep.Z[i][j]._terms for i, j in cells]).run([None, *point.X])
     M = np.zeros((N * n, N * n))
-    for i in range(N):
-        for j in range(N):
-            if not rep.Z[i][j].is_zero():
-                M[i * n : (i + 1) * n, j * n : (j + 1) * n] = evaluate(
-                    rep.Z[i][j], point
-                )
+    for (i, j), V in zip(cells, values):
+        M[i * n : (i + 1) * n, j * n : (j + 1) * n] = V
     return (M + M.T) / 2.0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
     "degree_profile",
     "MatrixPoint",
     "symmetrize",
+    "EvalPlan",
     "evaluate",
 ]
 
@@ -572,26 +573,97 @@ class MatrixPoint:
         return self.X[0].shape[0]
 
 
+def _float_coefficient(c: Fraction) -> float:
+    try:
+        return c.numerator / c.denominator  # float(c), without its dispatch
+    except OverflowError:
+        raise ValueError(
+            f"coefficient {_render_fraction(c)} is outside the double range"
+        ) from None
+
+
+class EvalPlan:
+    """One compiled float evaluation of one or more groups of terms.
+
+    The words of every group share one prefix trie.  Node 0 is the root and
+    stands for the identity; node k stands for product[parent[k]] @
+    M[letter[k]], so a prefix common to many words is multiplied once.  A
+    group's value is acc = acc + c * product[node] summed in the group's
+    term order from acc = 0, which makes it equal byte for byte to
+    multiplying out each word from the identity, letter by letter.
+
+    Nodes are computed when the first term that passes through them comes
+    up, and dropped after the last one, so only the nodes of the terms in
+    flight are held at once.
+    """
+
+    __slots__ = ("letters", "_parent", "_letter", "_steps", "_groups")
+
+    def __init__(self, groups: Sequence[dict]):
+        children: dict[tuple[int, int], int] = {}
+        parent = [0]
+        letter = [H_LETTER]
+        entries = []
+        last_use: dict[int, int] = {}
+        for gi, terms in enumerate(groups):
+            for w, c in terms.items():
+                t = len(entries)
+                start = len(parent)
+                node = 0
+                for x in w:
+                    child = children.get((node, x))
+                    if child is None:
+                        child = children[node, x] = len(parent)
+                        parent.append(node)
+                        letter.append(x)
+                    node = child
+                    last_use[node] = t
+                entries.append((gi, start, len(parent), node, _float_coefficient(c)))
+        release: list[list[int]] = [[] for _ in entries]
+        for node, t in last_use.items():
+            release[t].append(node)
+        self.letters = frozenset(letter[1:])
+        self._parent = parent
+        self._letter = letter
+        self._steps = [e + (r,) for e, r in zip(entries, release)]
+        self._groups = len(groups)
+
+    @classmethod
+    def of(cls, p: Poly) -> "EvalPlan":
+        """The plan of one polynomial: a single group."""
+        return cls([p._terms])
+
+    def run(self, mats: Sequence[Optional[np.ndarray]]) -> list:
+        """Evaluate every group, mats[0] standing for h and mats[i] for x_i.
+
+        Each matrix is n x n or a stack of shape (S, n, n), and they
+        broadcast together as in numpy's matmul.  Returns one array per
+        group, of the broadcast shape.
+        """
+        import numpy as np
+
+        if max(self.letters, default=0) >= len(mats):
+            raise ValueError(f"point supplies {len(mats) - 1} matrices, poly uses more")
+        if H_LETTER in self.letters and mats[H_LETTER] is None:
+            raise ValueError("polynomial contains h but the point has no H matrix")
+        shape = np.broadcast_shapes(*(M.shape for M in mats if M is not None))
+        parent, letter = self._parent, self._letter
+        prod: list = [None] * len(parent)
+        prod[0] = np.eye(shape[-1])
+        acc = [np.zeros(shape) for _ in range(self._groups)]
+        for gi, start, stop, node, c, release in self._steps:
+            for k in range(start, stop):
+                prod[k] = prod[parent[k]] @ mats[letter[k]]
+            acc[gi] = acc[gi] + c * prod[node]
+            for k in release:
+                prod[k] = None
+        return acc
+
+
 def evaluate(p: Poly, pt: MatrixPoint) -> np.ndarray:
     """Evaluate p at the point, the constant term contributing p(0)*I.
 
     Every matrix in pt must be n x n; the result is the n x n real matrix
     obtained by substituting pt.X[i-1] for x_i and pt.H for h.
     """
-    import numpy as np
-
-    if len(pt.X) < p.g and any(
-        letter > len(pt.X) for w in p._terms for letter in w
-    ):
-        raise ValueError(f"point supplies {len(pt.X)} matrices, poly uses more")
-    if p.contains_h and pt.H is None:
-        raise ValueError("polynomial contains h but the point has no H matrix")
-    n = pt.n
-    acc = np.zeros((n, n))
-    eye = np.eye(n)
-    for w, c in p._terms.items():
-        M = eye
-        for letter in w:
-            M = M @ (pt.H if letter == H_LETTER else pt.X[letter - 1])
-        acc = acc + float(c) * M
-    return acc
+    return EvalPlan.of(p).run([pt.H, *pt.X])[0]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import laplacian
 from .middlematrix import evaluate_middle, extract
-from .ncpoly import MatrixPoint, Poly, evaluate
+from .ncpoly import EvalPlan, MatrixPoint, Poly
 
 __all__ = [
     "SplitMix64",
@@ -132,14 +132,28 @@ class PointVerdict:
     witness: Optional[Witness] = None
 
 
-def _check_numeric_symmetry(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+def _require_finite(M: np.ndarray) -> np.ndarray:
+    finite = np.isfinite(M)
+    if not finite.all():
+        raise ValueError(
+            f"matrix entries must be finite numbers, found {float(M[~finite][0])}"
+        )
+    return M
+
+
+def _check_numeric_symmetry(M: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """The symmetric part of a square matrix, or of each matrix of a stack
+    when ndim is 3.  Rejects non-finite entries, before and after
+    symmetrizing (the average can overflow), and a relative skew above
+    1e-12."""
+    M = _require_finite(np.asarray(M, dtype=float))
+    if M.ndim != ndim or M.shape[-1] != M.shape[-2]:
         raise ValueError("expected a square matrix")
-    scale = 1.0 + float(np.max(np.abs(M))) if M.size else 1.0
-    if float(np.max(np.abs(M - M.T), initial=0.0)) > 1e-12 * scale:
+    MT = np.swapaxes(M, -1, -2)
+    scale = 1.0 + np.max(np.abs(M), axis=(-2, -1), initial=0.0)
+    if (np.max(np.abs(M - MT), axis=(-2, -1), initial=0.0) > 1e-12 * scale).any():
         raise ValueError("matrix is not symmetric within 1e-12 relative skew")
-    return (M + M.T) / 2.0
+    return _require_finite((M + MT) / 2.0)
 
 
 def ldl_pivots(M: np.ndarray, tol: float) -> tuple[list[float], bool]:
@@ -206,35 +220,69 @@ def draw_point(
     return MatrixPoint(X=X, H=H)
 
 
+def _chunks(count: int):
+    """Split range(count) into consecutive ranges of 2, 4, 8, ... samples.
+
+    A search that stops at its first hit evaluates each chunk as one stack
+    and so evaluates at most twice the samples it needed.
+    """
+    start, size = 0, 2
+    while start < count:
+        stop = min(count, start + size)
+        yield range(start, stop)
+        start, size = stop, 2 * size
+
+
+def _draw_stack(
+    cfg: SampleConfig, g: int, n: int, samples: range, with_h: bool
+) -> tuple[list, list]:
+    """The points of the given samples and their matrices stacked per
+    letter, as EvalPlan.run takes them."""
+    points = [draw_point(cfg, g, n, s, with_h) for s in samples]
+    mats = [np.stack([pt.H for pt in points]) if with_h else None]
+    mats += [np.stack([pt.X[i] for pt in points]) for i in range(g)]
+    return points, mats
+
+
 def sample_matrix_positive(p: Poly, cfg: SampleConfig) -> SampleVerdict:
     """Search for an evaluation of p with an eigenvalue below -tol.
 
     Draws every matrix from the substream keyed by (seed, size, sample,
     slot); the verdict is deterministic and independent of execution order.
-    A counterexample reports the lowest (size, sample index) hit.  Absence
-    of a counterexample is NOT a positivity certificate.
+    A counterexample reports the lowest (size, sample index) hit, and the
+    counts cover the samples up to that one.  Absence of a counterexample
+    is NOT a positivity certificate.
     """
     if not p.is_symmetric():
         raise ValueError("sample_matrix_positive requires a symmetric polynomial")
     needs_h = p.contains_h
+    plan = EvalPlan.of(p)
     tested = 0
     min_seen = float("inf")
     for n in cfg.sizes:
-        for s in range(cfg.samples_per_size):
-            pt = draw_point(cfg, p.g, n, s, needs_h)
-            me = min_eigenvalue(evaluate(p, pt))
-            tested += 1
-            min_seen = min(min_seen, me)
-            if me < -cfg.tol:
-                witness = Witness(
-                    n=n, X=pt.X, H=pt.H, min_eig=me, sample_index=s
-                )
-                return SampleVerdict(
-                    kind="Counterexample",
-                    witness=witness,
-                    samples_tested=tested,
-                    min_eigenvalue_seen=min_seen,
-                )
+        for samples in _chunks(cfg.samples_per_size):
+            points, mats = _draw_stack(cfg, p.g, n, samples, needs_h)
+            Z = plan.run(mats)[0]
+            try:
+                A = _check_numeric_symmetry(Z, ndim=3)
+                mins = np.linalg.eigvalsh(A)[:, 0].tolist()
+            except ValueError:
+                # One sample at a time, so a refused matrix raises only
+                # when no earlier sample is a hit.
+                mins = (min_eigenvalue(M) for M in Z)
+            for s, pt, me in zip(samples, points, mins):
+                tested += 1
+                min_seen = min(min_seen, me)
+                if me < -cfg.tol:
+                    witness = Witness(
+                        n=n, X=pt.X, H=pt.H, min_eig=me, sample_index=s
+                    )
+                    return SampleVerdict(
+                        kind="Counterexample",
+                        witness=witness,
+                        samples_tested=tested,
+                        min_eigenvalue_seen=min_seen,
+                    )
     return SampleVerdict(
         kind="NoCounterexampleFound",
         witness=None,
@@ -266,9 +314,10 @@ def subharmonic_at_point(
     _, psd = ldl_pivots(Zx, cfg.tol) if Zx.size else ([], True)
     if psd:
         return PointVerdict(kind="CertifiedAllH")
+    plan = EvalPlan.of(lap)
     for s in range(cfg.h_samples):
         H = _draw_slot(cfg, n, s, p.g)
-        me = min_eigenvalue(evaluate(lap, MatrixPoint(X=X, H=H)))
+        me = min_eigenvalue(plan.run([H, *X])[0])
         if me < -cfg.tol:
             return PointVerdict(
                 kind="CounterexampleH",

@@ -12,7 +12,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from ncharm import Poly
+import numpy as np
+
+from ncharm import H_LETTER, MatrixPoint, Poly
 
 
 def random_word(rnd: random.Random, g: int, length: int) -> bytes:
@@ -105,6 +107,45 @@ def laplacian_oracle(p: Poly) -> Poly:
                 key = bytes(repl)
                 acc[key] = acc.get(key, Fraction(0)) + 2 * c
     return Poly(p.g, acc)
+
+
+def laplacian_fraction_reference(p: Poly) -> Poly:
+    """The Laplacian accumulated one Fraction add per pair of positions.
+
+    This is the library's former loop, kept because its dict order is the
+    term order that laplacian() must reproduce: a sum that reaches zero is
+    deleted and, if a later pair adds to it again, reinserted at the end.
+    """
+    out: dict[bytes, Fraction] = {}
+    h = bytes([H_LETTER])
+    for w, c in p._terms.items():
+        positions: dict[int, list[int]] = {}
+        for pos, letter in enumerate(w):
+            positions.setdefault(letter, []).append(pos)
+        for occ in positions.values():
+            for a, b in combinations(occ, 2):
+                new = w[:a] + h + w[a + 1 : b] + h + w[b + 1 :]
+                s = out.get(new, 0) + 2 * c
+                if s:
+                    out[new] = s
+                else:
+                    del out[new]
+    return Poly._raw(p.g, out)
+
+
+def evaluate_oracle(p: Poly, pt: MatrixPoint) -> np.ndarray:
+    """Word-by-word evaluation: each word multiplied out from the identity,
+    letter by letter, and summed in term order.  The compiled plan must
+    equal it byte for byte."""
+    n = pt.n
+    acc = np.zeros((n, n))
+    eye = np.eye(n)
+    for w, c in p._terms.items():
+        M = eye
+        for letter in w:
+            M = M @ (pt.H if letter == H_LETTER else pt.X[letter - 1])
+        acc = acc + float(c) * M
+    return acc
 
 
 def rank_oracle(rows) -> int:

@@ -11,9 +11,10 @@ from ncharm import (
     directional_derivative,
     laplacian,
     parse,
+    word,
 )
 
-from _helpers import laplacian_oracle, random_poly
+from _helpers import laplacian_fraction_reference, laplacian_oracle, random_poly
 
 
 x1 = Poly.variable(2, 1)
@@ -98,6 +99,39 @@ class TestLaplacian:
         for _ in range(60):
             p = random_poly(rnd, 3, 5)
             assert laplacian(p) == laplacian_oracle(p)
+
+    def test_term_order_matches_fraction_reference(self):
+        # Mixed denominators up to 12 and up to 12 terms over 2 letters, so
+        # many words take contributions that cancel and come back.
+        rnd = random.Random(27)
+        for _ in range(200):
+            g = rnd.randint(1, 3)
+            terms = {}
+            for _ in range(rnd.randint(1, 12)):
+                w = bytes(rnd.randint(1, g) for _ in range(rnd.randint(0, 7)))
+                terms[w] = Fraction(rnd.randint(-9, 9), rnd.choice([1, 2, 3, 4, 7, 12]))
+            p = Poly(g, terms)
+            lap = laplacian(p)
+            assert lap == laplacian_oracle(p)
+            assert list(lap._terms.items()) == list(
+                laplacian_fraction_reference(p)._terms.items()
+            )
+
+    def test_cancelled_term_is_reinserted_last(self):
+        # h^2*x2 gets +1 from x1^2*x2, cancels against -x2^3, and comes back
+        # from x3^2*x2 after x2*h^2, the last word of -x2^3.
+        p = Poly(3, {
+            word(1, 1, 2): Fraction(1, 2),
+            word(2, 2, 2): Fraction(-1, 2),
+            word(3, 3, 2): Fraction(1, 3),
+            word(1, 3, 1): Fraction(2, 5),
+        })
+        assert list(laplacian(p)._terms.items()) == [
+            (word(0, 2, 0), Fraction(-1)),
+            (word(2, 0, 0), Fraction(-1)),
+            (word(0, 0, 2), Fraction(2, 3)),
+            (word(0, 3, 0), Fraction(4, 5)),
+        ]
 
     def test_two_h_per_word(self):
         rnd = random.Random(25)

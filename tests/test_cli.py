@@ -348,6 +348,22 @@ class TestInputDomain:
         assert (code, out) == (2, "")
         assert "non-finite" in err
 
+    def test_eval_coefficient_beyond_double_range(self, tmp_path):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"X": [[[1.0]]]}))
+        big = "1" + "0" * 310
+        code, out, err = run(["eval", "--point", str(point), f"{big}*x1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: coefficient {big} is outside the double range\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_sample_overflow_names_non_finite_value(self):
+        c = "1" + "0" * 308
+        code, out, err = run(["sample", "--seed", "1", "--samples", "3",
+                              f"{c}*x1^2 + {c}*x2^2"])
+        assert (code, out) == (2, "")
+        assert err == "error: matrix entries must be finite numbers, found inf\n"
+
     def test_eval_names_non_finite_input(self, tmp_path):
         point = tmp_path / "point.json"
         point.write_text('{"X": [[[1.0, NaN], [NaN, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]}')

@@ -78,6 +78,13 @@ def test_exact_command_never_loads_numpy(command):
     assert out
 
 
+@pytest.mark.parametrize("module", ["ncharm.ncpoly", "ncharm.calculus"])
+def test_exact_module_import_loads_no_numpy(module):
+    # The float plan lives in ncpoly, so numpy must stay a call-time import.
+    proc = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 def test_float_commands_still_run(tmp_path):
     point = tmp_path / "point.json"
     point.write_text(json.dumps({"X": [[[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]]]}))

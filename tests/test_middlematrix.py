@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncharm import (
+    MatrixPoint,
     Poly,
     SampleConfig,
     evaluate_middle,
@@ -12,11 +13,12 @@ from ncharm import (
     parse,
     reconstruct,
     sample_matrix_positive,
+    symmetrize,
     word,
     zeroes_violation,
 )
 
-from _helpers import random_two_h_symmetric
+from _helpers import evaluate_oracle, random_symmetric_homogeneous, random_two_h_symmetric
 
 
 WORKED_EXAMPLE = (
@@ -144,6 +146,31 @@ class TestEvaluateMiddle:
             ]
         )
         assert np.allclose(evaluate_middle(rep, X), expected)
+
+    def test_bytes_equal_per_cell_oracle(self):
+        rnd = random.Random(35)
+        for _ in range(30):
+            g = rnd.randint(1, 3)
+            if rnd.random() < 0.5:
+                q = random_two_h_symmetric(rnd, g)
+            else:
+                q = laplacian(random_symmetric_homogeneous(rnd, g, rnd.randint(2, 6)))
+            rep = extract(q)
+            n = rnd.randint(1, 4)
+            X = tuple(
+                symmetrize(np.array([[rnd.uniform(-1, 1) for _ in range(n)]
+                                     for _ in range(n)]))
+                for _ in range(g)
+            )
+            N = rep.size
+            M = np.zeros((N * n, N * n))
+            for i in range(N):
+                for j in range(N):
+                    if not rep.Z[i][j].is_zero():
+                        M[i * n : (i + 1) * n, j * n : (j + 1) * n] = evaluate_oracle(
+                            rep.Z[i][j], MatrixPoint(X=X)
+                        )
+            assert evaluate_middle(rep, X).tobytes() == ((M + M.T) / 2.0).tobytes()
 
     def test_result_is_exactly_symmetric(self):
         rnd = random.Random(33)

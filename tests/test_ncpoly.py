@@ -17,8 +17,9 @@ from ncharm import (
 )
 from ncharm.cli import emit_json
 from ncharm.harmonicspace import gamma_power_parts
+from ncharm.ncpoly import EvalPlan
 
-from _helpers import mul_oracle, random_poly
+from _helpers import evaluate_oracle, mul_oracle, random_poly
 
 
 x1 = Poly.variable(2, 1)
@@ -201,6 +202,58 @@ class TestEvaluate:
             lhs = evaluate(p.transpose(), pt)
             rhs = evaluate(p, pt).T
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+    def _plan_poly(self, rnd, g):
+        """A random polynomial with a constant term, h letters and words
+        that share prefixes."""
+        stems = [bytes(rnd.randint(0, g) for _ in range(rnd.randint(1, 4)))
+                 for _ in range(3)]
+        terms = {b"": Fraction(rnd.randint(-5, 5), rnd.randint(1, 3))}
+        for _ in range(rnd.randint(1, 10)):
+            tail = bytes(rnd.randint(0, g) for _ in range(rnd.randint(0, 4)))
+            terms[rnd.choice(stems) + tail] = Fraction(rnd.randint(-9, 9), rnd.randint(1, 7))
+        return Poly(g, terms)
+
+    def _random_point(self, rnd, g, n):
+        def sym():
+            A = np.array([[rnd.uniform(-2, 2) for _ in range(n)] for _ in range(n)])
+            # Signed zeros, which a product's sum can turn positive.
+            return symmetrize(np.where(np.abs(A) < 0.2, -0.0, A))
+        return MatrixPoint(X=tuple(sym() for _ in range(g)), H=sym())
+
+    def test_bytes_equal_word_by_word_oracle(self):
+        rnd = random.Random(13)
+        for _ in range(200):
+            g = rnd.randint(1, 3)
+            p = self._plan_poly(rnd, g)
+            pt = self._random_point(rnd, g, rnd.randint(1, 5))
+            assert evaluate(p, pt).tobytes() == evaluate_oracle(p, pt).tobytes()
+
+    def test_stack_slices_equal_single_points(self):
+        rnd = random.Random(14)
+        for _ in range(40):
+            g = rnd.randint(1, 3)
+            n = rnd.randint(1, 5)
+            p = self._plan_poly(rnd, g)
+            points = [self._random_point(rnd, g, n) for _ in range(rnd.randint(1, 9))]
+            mats = [np.stack([pt.H for pt in points])]
+            mats += [np.stack([pt.X[i] for pt in points]) for i in range(g)]
+            stacked = EvalPlan.of(p).run(mats)[0]
+            assert stacked.shape == (len(points), n, n)
+            for value, pt in zip(stacked, points):
+                assert value.tobytes() == evaluate(p, pt).tobytes()
+            # A matrix shared by the whole stack broadcasts against it.
+            shared = EvalPlan.of(p).run([mats[0], *points[0].X])[0]
+            for value, H in zip(shared, mats[0]):
+                one = MatrixPoint(X=points[0].X, H=H)
+                assert value.tobytes() == evaluate(p, one).tobytes()
+
+    def test_coefficient_beyond_double_range(self):
+        p = Poly(2, {word(1): Fraction(10**310), word(2): Fraction(1, 3)})
+        with pytest.raises(ValueError, match="coefficient 1000.* outside the double range"):
+            EvalPlan.of(p)
+        with pytest.raises(ValueError, match="outside the double range"):
+            evaluate(p, MatrixPoint(X=(np.eye(2), np.eye(2))))
 
     def test_h_required(self):
         pt = MatrixPoint(X=(np.eye(2), np.eye(2)))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from ncharm import (
     subharmonic_at_point,
     symmetrize,
 )
-from ncharm.positivity import SplitMix64, draw_symmetric, substream
+from ncharm.positivity import (
+    SplitMix64,
+    _check_numeric_symmetry,
+    draw_symmetric,
+    substream,
+)
 
 from _helpers import random_symmetric_homogeneous
 
@@ -101,6 +107,52 @@ class TestMinEigenvalue:
             min_eigenvalue(np.array([[0.0, 2.0], [0.0, 0.0]]))
 
 
+class TestNonFinite:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_named_before_the_skew_test(self, bad):
+        # inf - inf is nan, which passes a "skew > bound" test unnoticed and
+        # warns on the way.
+        M = np.array([[1.0, bad], [bad, 0.0]])
+        message = f"must be finite numbers, found {bad}"
+        with pytest.raises(ValueError, match=message):
+            min_eigenvalue(M)
+        with pytest.raises(ValueError, match=message):
+            ldl_pivots(M, 1e-9)
+        with pytest.raises(ValueError, match=message):
+            _check_numeric_symmetry(np.stack([np.eye(2), M]), ndim=3)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_symmetrizing_overflow(self):
+        M = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
+        with pytest.raises(ValueError, match="found inf"):
+            min_eigenvalue(M)
+
+    def test_stack_checks_each_matrix(self):
+        skewed = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            _check_numeric_symmetry(np.stack([np.eye(2), skewed]), ndim=3)
+        with pytest.raises(ValueError, match="square"):
+            _check_numeric_symmetry(np.eye(2), ndim=3)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_later_overflow_keeps_earlier_witness(self):
+        # Sample 0 (x1 = -3.19, x2 = 0.34) is a hit; sample 1, drawn in the
+        # same stack, has x2 = -7.93, so x2^400 overflows to inf.  The hit
+        # wins, as when every sample was evaluated on its own.
+        p = parse("x2^400 - x1^2", 2)
+        cfg = SampleConfig(seed=131, sizes=(1, 2), samples_per_size=4, entry_range=10.0)
+        verdict = sample_matrix_positive(p, cfg)
+        w = verdict.witness
+        assert (verdict.kind, verdict.samples_tested) == ("Counterexample", 1)
+        assert (w.n, w.sample_index) == (1, 0)
+        assert w.min_eig.hex() == verdict.min_eigenvalue_seen.hex() == "-0x1.45ce174a35c72p+3"
+        assert [M.tobytes().hex() for M in w.X] == ["7a7cebd2d28609c0", "e024dbe893fbd53f"]
+        # Without the earlier hit the overflow is refused by name.
+        with pytest.raises(ValueError, match="found inf"):
+            sample_matrix_positive(parse("x2^400 + x1^2", 2), cfg)
+
+
 class TestSplitMix:
     def test_deterministic(self):
         a = [SplitMix64(42).next_u64() for _ in range(5)]
@@ -183,6 +235,37 @@ class TestSampleMatrixPositive:
         for Ma, Mb in zip(a.witness.X, b.witness.X):
             assert np.array_equal(Ma, Mb)
         assert np.array_equal(a.witness.H, b.witness.H)
+
+    # Captured from the per-point sampler before it evaluated stacks: the
+    # first hit wins, and the counts stop at it.  (p, seed, n, sample,
+    # samples_tested, min_eigenvalue_seen.hex()), sizes (1, 2, 3), 12
+    # samples per size, so size 2 is split into samples 0-1, 2-5 and 6-11.
+    @pytest.mark.parametrize(
+        "case, seed, n, sample, tested, min_seen",
+        [
+            ("-x1^2", 0, 1, 0, 1, "-0x1.cea3a287801cfp-1"),
+            ("commutator+1/8", 0, 2, 0, 13, "-0x1.83624cfe9bc9ap-1"),
+            ("commutator+1", 1, 2, 5, 18, "-0x1.65c2087a1fb9cp-3"),
+            ("commutator+1", 5, 2, 7, 20, "-0x1.b2a266a7bff70p-3"),
+            ("x1^4 + x2^4 + x1*x2^2*x1", 3, None, None, 36, "0x1.ee825f35fea7cp-8"),
+        ],
+    )
+    def test_pinned_witness_semantics(self, case, seed, n, sample, tested, min_seen):
+        if case.startswith("commutator"):
+            K = parse("x1*x2 - x2*x1", 2)
+            p = K * K + parse("x1^4 + x2^4", 2).scale(Fraction(case[len("commutator+"):]))
+        else:
+            p = parse(case, 2)
+        cfg = SampleConfig(seed=seed, sizes=(1, 2, 3), samples_per_size=12)
+        verdict = sample_matrix_positive(p, cfg)
+        assert verdict.samples_tested == tested
+        assert verdict.min_eigenvalue_seen.hex() == min_seen
+        if n is None:
+            assert (verdict.kind, verdict.witness) == ("NoCounterexampleFound", None)
+        else:
+            w = verdict.witness
+            assert (verdict.kind, w.n, w.sample_index) == ("Counterexample", n, sample)
+            assert w.min_eig.hex() == min_seen
 
     def test_witness_soundness(self):
         lap = laplacian(parse(REGION_FAMILY, 2))
