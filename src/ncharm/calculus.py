@@ -72,7 +72,7 @@ def laplacian(p: Poly) -> Poly:
     sum over i of the second t-derivative of p(..., x_i + t*h, ...) at 0.
 
     Contributions are summed as integer numerators over the least common
-    denominator L of the coefficients, and each output word builds its
+    denominator L of the coefficients, and each distinct value builds its
     Fraction once.  A running sum is zero exactly when the Fraction sum
     would be, so terms are deleted and reinserted, and the result ordered,
     as a Fraction accumulation would leave them.
@@ -100,7 +100,13 @@ def laplacian(p: Poly) -> Poly:
                         out[new] = s
                     else:
                         del out[new]
-    return Poly._raw(p.g, {w: Fraction(v, L) for w, v in out.items()})
+    # One Fraction per distinct value: equal coefficients are one object,
+    # which is_symmetric compares by identity first.
+    shared: dict[int, Fraction] = {}
+    return Poly._raw(p.g, {
+        w: shared.get(v) or shared.setdefault(v, Fraction(v, L))
+        for w, v in out.items()
+    })
 
 
 class CommPoly:

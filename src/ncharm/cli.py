@@ -420,7 +420,9 @@ def _cmd_eval(args, stdin, out) -> int:
     point = MatrixPoint(
         X=X, H=None if H is None else symmetrize(np.array(H, dtype=float))
     )
-    result = evaluate(p, point)
+    # emit_json refuses, by name, a value that overflowed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = evaluate(p, point)
     print(emit_json([[float(v) for v in row] for row in result]), file=out)
     return 0
 

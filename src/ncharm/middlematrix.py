@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .ncpoly import H_LETTER, EvalPlan, MatrixPoint, Poly, Word, word_key
@@ -41,6 +42,18 @@ class MiddleMatrixRep:
     @property
     def size(self) -> int:
         return len(self.border)
+
+    @cached_property
+    def _cells(self) -> tuple:
+        """Rows, columns and the compiled plan of the nonzero cells, built
+        once per representation."""
+        import numpy as np
+
+        N = self.size
+        cells = [(i, j) for i in range(N) for j in range(N) if self.Z[i][j]]
+        rows = np.array([i for i, _ in cells], dtype=np.intp)
+        cols = np.array([j for _, j in cells], dtype=np.intp)
+        return rows, cols, EvalPlan([self.Z[i][j]._terms for i, j in cells])
 
     def __eq__(self, other):
         if not isinstance(other, MiddleMatrixRep):
@@ -77,13 +90,9 @@ def extract(q: Poly) -> MiddleMatrixRep:
     n = len(border)
     cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for mi, mid, mj, c in splits:
-        cells[index[mi]][index[mj]][mid] = (
-            cells[index[mi]][index[mj]].get(mid, 0) + c
-        )
-    Z = tuple(
-        tuple(Poly._raw(q.g, {w: c for w, c in cell.items() if c}) for cell in row)
-        for row in cells
-    )
+        # A word has one (left, mid, right) split, so no cell entry repeats.
+        cells[index[mi]][index[mj]][mid] = c
+    Z = tuple(tuple(Poly._raw(q.g, cell) for cell in row) for row in cells)
     return MiddleMatrixRep(g=q.g, border=tuple(border), Z=Z)
 
 
@@ -122,19 +131,18 @@ def zeroes_violation(rep: MiddleMatrixRep) -> Optional[tuple[int, int]]:
 def evaluate_middle(rep: MiddleMatrixRep, X: Sequence[np.ndarray]) -> np.ndarray:
     """Block evaluation of Z at X: block (i, j) is Z_ij(X).
 
-    The middle words of every cell share one compiled plan, and each cell
-    sums its own terms in its own order.  Returns the (N*n) x (N*n) matrix
-    symmetrized by averaging with its transpose to remove floating point
-    skew.
+    The middle words of every nonzero cell share one plan, compiled once
+    per representation, and each cell sums its own terms in its own order.
+    Returns the (N*n) x (N*n) matrix symmetrized by averaging with its
+    transpose to remove floating point skew.
     """
     import numpy as np
 
     point = MatrixPoint(X=tuple(X))
     n = point.n
     N = rep.size
-    cells = [(i, j) for i in range(N) for j in range(N) if not rep.Z[i][j].is_zero()]
-    values = EvalPlan([rep.Z[i][j]._terms for i, j in cells]).run([None, *point.X])
-    M = np.zeros((N * n, N * n))
-    for (i, j), V in zip(cells, values):
-        M[i * n : (i + 1) * n, j * n : (j + 1) * n] = V
+    rows, cols, plan = rep._cells
+    M = np.zeros((N, n, N, n))
+    M[rows, :, cols, :] = plan.run([None, *point.X])
+    M = M.reshape(N * n, N * n)
     return (M + M.T) / 2.0

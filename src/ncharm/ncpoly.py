@@ -203,7 +203,8 @@ class Poly:
     def is_symmetric(self) -> bool:
         """True iff p equals its transpose, exactly."""
         for w, c in self._terms.items():
-            if self._terms.get(w[::-1]) != c:
+            d = self._terms.get(w[::-1])
+            if d is not c and d != c:
                 return False
         return True
 
@@ -582,82 +583,200 @@ def _float_coefficient(c: Fraction) -> float:
         ) from None
 
 
+# Bytes of node products and term tables that one EvalPlan.run holds at
+# once, besides its inputs and its result.
+_RUN_BYTES = 8 << 20
+
+
 class EvalPlan:
     """One compiled float evaluation of one or more groups of terms.
 
-    The words of every group share one prefix trie.  Node 0 is the root and
-    stands for the identity; node k stands for product[parent[k]] @
-    M[letter[k]], so a prefix common to many words is multiplied once.  A
-    group's value is acc = acc + c * product[node] summed in the group's
-    term order from acc = 0, which makes it equal byte for byte to
-    multiplying out each word from the identity, letter by letter.
+    The words of every group share one prefix trie whose nodes are numbered
+    by depth.  Node 0 is the root and stands for the identity; node k
+    stands for product[parent[k]] @ M[letter[k]], so a prefix common to
+    many words is multiplied once, and each depth is one stacked matmul.
+    A group's value is acc = acc + c * product[node] summed in the group's
+    term order from acc = +0.0, as one sequential np.add.accumulate over a
+    table padded with 0.0 * identity (a sum started at +0.0 is never -0.0,
+    so adding +0.0 leaves it alone).  This equals, byte for byte,
+    multiplying out each word from the identity, letter by letter.  Groups
+    share a table with groups of similar length, so padding at most
+    doubles it.
 
-    Nodes are computed when the first term that passes through them comes
-    up, and dropped after the last one, so only the nodes of the terms in
-    flight are held at once.
+    A run holds at most _RUN_BYTES of products and tables: it evaluates a
+    stack in slices along its sample axis, and when one sample of the whole
+    plan does not fit, it splits the terms, in order, into chunks whose
+    nodes fit, carrying each group's running sum from chunk to chunk.
     """
 
-    __slots__ = ("letters", "_parent", "_letter", "_steps", "_groups")
+    __slots__ = ("letters", "_starts", "_parent", "_slot", "_first", "_node",
+                 "_coef", "_whole")
 
     def __init__(self, groups: Sequence[dict]):
-        children: dict[tuple[int, int], int] = {}
-        parent = [0]
-        letter = [H_LETTER]
-        entries = []
-        last_use: dict[int, int] = {}
-        for gi, terms in enumerate(groups):
-            for w, c in terms.items():
-                t = len(entries)
-                start = len(parent)
+        import numpy as np
+
+        # kids[d] numbers the nodes of depth d + 1 in order of appearance,
+        # keyed by parent << 8 | letter, the parent numbered within depth d.
+        longest = max((max(map(len, terms), default=0) for terms in groups), default=0)
+        kids: list[dict] = [{} for _ in range(longest)]
+        depth, index, first = [], [], [0]
+        for terms in groups:
+            for w in terms:
                 node = 0
-                for x in w:
-                    child = children.get((node, x))
-                    if child is None:
-                        child = children[node, x] = len(parent)
-                        parent.append(node)
-                        letter.append(x)
-                    node = child
-                    last_use[node] = t
-                entries.append((gi, start, len(parent), node, _float_coefficient(c)))
-        release: list[list[int]] = [[] for _ in entries]
-        for node, t in last_use.items():
-            release[t].append(node)
-        self.letters = frozenset(letter[1:])
-        self._parent = parent
-        self._letter = letter
-        self._steps = [e + (r,) for e, r in zip(entries, release)]
-        self._groups = len(groups)
+                for level, x in zip(kids, w):
+                    node = level.setdefault(node << 8 | x, len(level))
+                depth.append(len(w))
+                index.append(node)
+            first.append(len(index))
+        coef = [_float_coefficient(c) for terms in groups for c in terms.values()]
+        # Nodes of depth d are numbered from starts[d]; node 0 is the root.
+        starts = [0, 1]
+        for level in kids:
+            starts.append(starts[-1] + len(level))
+        self.letters = tuple(sorted({key & 255 for level in kids for key in level}))
+        slot = {x: i for i, x in enumerate(self.letters)}
+        self._starts = starts
+        self._parent = np.array([0] + [(key >> 8) + s for level, s in zip(kids, starts)
+                                       for key in level], dtype=np.intp)
+        self._slot = np.array([0] + [slot[key & 255] for level in kids for key in level],
+                              dtype=np.intp)
+        self._first = first
+        self._node = [starts[d] + k for d, k in zip(depth, index)]
+        self._coef = coef
+        levels = [(a, b, self._parent[a:b], self._slot[a:b])
+                  for a, b in zip(starts[1:-1], starts[2:])]
+        self._whole = _Chunk(starts[-1], len(self.letters), levels,
+                             self._tables(0, len(coef), self._node))
 
     @classmethod
     def of(cls, p: Poly) -> "EvalPlan":
         """The plan of one polynomial: a single group."""
         return cls([p._terms])
 
-    def run(self, mats: Sequence[Optional[np.ndarray]]) -> list:
+    def _tables(self, lo: int, hi: int, nodes: list) -> list:
+        """Padded (groups, nodes, coefficients) tables of the terms
+        lo..hi-1, whose nodes are given.  Band k holds the groups with
+        2^(k-1) < terms <= 2^k."""
+        import numpy as np
+
+        first, coef = self._first, self._coef
+        bands: dict[int, list] = {}
+        for gi in range(len(first) - 1):
+            a, b = max(first[gi], lo), min(first[gi + 1], hi)
+            if a < b:
+                bands.setdefault((b - a - 1).bit_length(), []).append((gi, a, b))
+        tables = []
+        for band in bands.values():
+            width = max(b - a for _, a, b in band)
+            ks = [nodes[a - lo : b - lo] + [0] * (width - b + a) for _, a, b in band]
+            cs = [coef[a:b] + [0.0] * (width - b + a) for _, a, b in band]
+            tables.append((np.array([gi for gi, _, _ in band], dtype=np.intp),
+                           np.array(ks, dtype=np.intp),
+                           np.array(cs)[:, :, None, None, None]))
+        return tables
+
+    def _chunk(self, lo: int, hi: int) -> "_Chunk":
+        """The terms lo..hi-1 with the nodes their words pass through,
+        renumbered in depth order."""
+        import numpy as np
+
+        starts, parent = self._starts, self._parent
+        member = np.zeros(starts[-1], dtype=bool)
+        member[0] = True
+        member[self._node[lo:hi]] = True
+        bounds = list(zip(starts[1:-1], starts[2:]))
+        for a, b in reversed(bounds):
+            member[parent[a:b][member[a:b]]] = True
+        local = np.cumsum(member) - 1
+        levels = []
+        for a, b in bounds:
+            sel = a + np.flatnonzero(member[a:b])
+            if len(sel):
+                k = int(local[sel[0]])
+                levels.append((k, k + len(sel), local[parent[sel]], self._slot[sel]))
+        nodes = local[self._node[lo:hi]].tolist()
+        return _Chunk(int(local[-1]) + 1, len(self.letters), levels,
+                      self._tables(lo, hi, nodes))
+
+    def _split(self, lo: int, hi: int, room: int) -> list:
+        """Chunks of the consecutive terms lo..hi-1, each costing at most
+        room matrices per sample unless it is a single term."""
+        chunk = self._chunk(lo, hi)
+        if chunk.cost <= room or hi - lo == 1:
+            return [chunk]
+        mid = (lo + hi) // 2
+        return self._split(lo, mid, room) + self._split(mid, hi, room)
+
+    def run(self, mats: Sequence[Optional[np.ndarray]]) -> np.ndarray:
         """Evaluate every group, mats[0] standing for h and mats[i] for x_i.
 
-        Each matrix is n x n or a stack of shape (S, n, n), and they
-        broadcast together as in numpy's matmul.  Returns one array per
-        group, of the broadcast shape.
+        Each matrix is n x n or a stack of S of them, of shape (S, n, n);
+        one n x n matrix stands for every sample of a stack.  Returns an
+        array of shape (groups, S, n, n), or (groups, n, n) when no matrix
+        is a stack.
         """
         import numpy as np
 
-        if max(self.letters, default=0) >= len(mats):
+        if self.letters and self.letters[-1] >= len(mats):
             raise ValueError(f"point supplies {len(mats) - 1} matrices, poly uses more")
         if H_LETTER in self.letters and mats[H_LETTER] is None:
             raise ValueError("polynomial contains h but the point has no H matrix")
-        shape = np.broadcast_shapes(*(M.shape for M in mats if M is not None))
-        parent, letter = self._parent, self._letter
-        prod: list = [None] * len(parent)
-        prod[0] = np.eye(shape[-1])
-        acc = [np.zeros(shape) for _ in range(self._groups)]
-        for gi, start, stop, node, c, release in self._steps:
-            for k in range(start, stop):
-                prod[k] = prod[parent[k]] @ mats[letter[k]]
-            acc[gi] = acc[gi] + c * prod[node]
-            for k in release:
-                prod[k] = None
-        return acc
+        shapes = {M.shape for M in mats if M is not None}
+        shape = max(shapes, key=len)
+        n = shape[-1]
+        if len(shape) > 3 or shape[-2:] != (n, n) or not shapes <= {shape, shape[-2:]}:
+            raise ValueError(f"matrices of shapes {sorted(shapes)} do not stack")
+        count = shape[0] if len(shape) == 3 else 1
+        acc = np.zeros((len(self._first) - 1, count, n, n))
+        room = _RUN_BYTES // (8 * max(1, n * n))
+        if self._whole.cost <= room:
+            step, chunks = max(1, room // self._whole.cost), [self._whole]
+        else:
+            step, chunks = 1, self._split(0, len(self._coef), room)
+        for s in range(0, count, step):
+            part = acc[:, s : s + step]
+            L = np.empty((len(self.letters),) + part.shape[1:])
+            for i, x in enumerate(self.letters):
+                M = mats[x]
+                L[i] = M if M.ndim == 2 else M[s : s + step]
+            for chunk in chunks:
+                chunk.run(L, part)
+        return acc if len(shape) == 3 else acc[:, 0]
+
+
+class _Chunk:
+    """Consecutive terms of a plan, ready to run: the levels of its nodes
+    (first and end node, parent nodes and letter slots) and its padded
+    term tables (groups, nodes, coefficients)."""
+
+    __slots__ = ("cost", "_size", "_levels", "_tables")
+
+    def __init__(self, size: int, letters: int, levels: list, tables: list):
+        self._size = size
+        self._levels = levels
+        self._tables = tables
+        # Matrices per sample held at once: the products and letters, then
+        # either a level's gathered operands or a term table with its
+        # gathered products and accumulate buffer.
+        widest = max((hi - lo for lo, hi, _, _ in levels), default=0)
+        self.cost = size + letters + max(
+            [2 * widest] + [3 * ks.shape[0] * (1 + ks.shape[1]) for _, ks, _ in tables])
+
+    def run(self, L: np.ndarray, acc: np.ndarray) -> None:
+        """Add this chunk's terms at the letter stack L (letters, S, n, n)
+        to the running sums acc (groups, S, n, n), in place."""
+        import numpy as np
+
+        P = np.empty((self._size,) + L.shape[1:])
+        P[0] = np.eye(L.shape[-1])
+        for lo, hi, parents, letters in self._levels:
+            np.matmul(P[parents], L[letters], out=P[lo:hi])
+        for groups, ks, cs in self._tables:
+            T = np.empty((len(groups), 1 + ks.shape[1]) + L.shape[1:])
+            T[:, 0] = acc[groups]
+            np.multiply(cs, P[ks], out=T[:, 1:])
+            np.add.accumulate(T, axis=1, out=T)
+            acc[groups] = T[:, -1]
 
 
 def evaluate(p: Poly, pt: MatrixPoint) -> np.ndarray:

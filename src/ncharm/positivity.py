@@ -153,7 +153,9 @@ def _check_numeric_symmetry(M: np.ndarray, ndim: int = 2) -> np.ndarray:
     scale = 1.0 + np.max(np.abs(M), axis=(-2, -1), initial=0.0)
     if (np.max(np.abs(M - MT), axis=(-2, -1), initial=0.0) > 1e-12 * scale).any():
         raise ValueError("matrix is not symmetric within 1e-12 relative skew")
-    return _require_finite((M + MT) / 2.0)
+    with np.errstate(over="ignore"):
+        A = (M + MT) / 2.0
+    return _require_finite(A)
 
 
 def ldl_pivots(M: np.ndarray, tol: float) -> tuple[list[float], bool]:
@@ -262,7 +264,9 @@ def sample_matrix_positive(p: Poly, cfg: SampleConfig) -> SampleVerdict:
     for n in cfg.sizes:
         for samples in _chunks(cfg.samples_per_size):
             points, mats = _draw_stack(cfg, p.g, n, samples, needs_h)
-            Z = plan.run(mats)[0]
+            # An overflow is refused, naming the value, by the checks below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                Z = plan.run(mats)[0]
             try:
                 A = _check_numeric_symmetry(Z, ndim=3)
                 mins = np.linalg.eigvalsh(A)[:, 0].tolist()
@@ -310,14 +314,17 @@ def subharmonic_at_point(
     rep = extract(lap)
     X = tuple(np.asarray(M, dtype=float) for M in X)
     n = X[0].shape[0] if X else 1
-    Zx = evaluate_middle(rep, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Zx = evaluate_middle(rep, X)
     _, psd = ldl_pivots(Zx, cfg.tol) if Zx.size else ([], True)
     if psd:
         return PointVerdict(kind="CertifiedAllH")
     plan = EvalPlan.of(lap)
     for s in range(cfg.h_samples):
         H = _draw_slot(cfg, n, s, p.g)
-        me = min_eigenvalue(plan.run([H, *X])[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = plan.run([H, *X])[0]
+        me = min_eigenvalue(Z)
         if me < -cfg.tol:
             return PointVerdict(
                 kind="CounterexampleH",

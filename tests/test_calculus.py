@@ -117,6 +117,13 @@ class TestLaplacian:
                 laplacian_fraction_reference(p)._terms.items()
             )
 
+    def test_equal_coefficients_share_one_fraction(self):
+        rnd = random.Random(28)
+        for _ in range(50):
+            lap = laplacian(random_poly(rnd, 2, 6, max_terms=8))
+            values = list(lap._terms.values())
+            assert len({id(c) for c in values}) == len(set(values))
+
     def test_cancelled_term_is_reinserted_last(self):
         # h^2*x2 gets +1 from x1^2*x2, cancels against -x2^3, and comes back
         # from x3^2*x2 after x2*h^2, the last word of -x2^3.

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -363,6 +366,27 @@ class TestInputDomain:
                               f"{c}*x1^2 + {c}*x2^2"])
         assert (code, out) == (2, "")
         assert err == "error: matrix entries must be finite numbers, found inf\n"
+
+    @pytest.mark.parametrize("command, error", [
+        ("sample", "matrix entries must be finite numbers, found inf"),
+        ("eval", "cannot write the non-finite number inf as JSON"),
+    ])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, command, error):
+        # A fresh interpreter, so numpy's RuntimeWarning lines would show.
+        c = "1" + "0" * 308
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"X": [[[1e200]], [[1.0]]]}))
+        argv = {
+            "sample": ["sample", "--seed", "1", "--samples", "3", f"{c}*x1^2 + {c}*x2^2"],
+            "eval": ["eval", "--point", str(point), "x1^2"],
+        }[command]
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncharm.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
 
     def test_eval_names_non_finite_input(self, tmp_path):
         point = tmp_path / "point.json"

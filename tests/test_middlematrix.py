@@ -17,6 +17,7 @@ from ncharm import (
     word,
     zeroes_violation,
 )
+from ncharm.ncpoly import EvalPlan
 
 from _helpers import evaluate_oracle, random_symmetric_homogeneous, random_two_h_symmetric
 
@@ -171,6 +172,22 @@ class TestEvaluateMiddle:
                             rep.Z[i][j], MatrixPoint(X=X)
                         )
             assert evaluate_middle(rep, X).tobytes() == ((M + M.T) / 2.0).tobytes()
+
+    def test_plan_is_compiled_once_per_rep(self, monkeypatch):
+        from ncharm import middlematrix
+
+        compiled = []
+
+        def counting_plan(groups):
+            compiled.append(len(groups))
+            return EvalPlan(groups)
+
+        monkeypatch.setattr(middlematrix, "EvalPlan", counting_plan)
+        rep = extract(laplacian(parse("x1^2*x2^2 + x2^2*x1^2 + x1^4", 2)))
+        X = (np.diag([1.0, -2.0]), np.array([[0.5, 1.0], [1.0, 0.0]]))
+        first = evaluate_middle(rep, X).tobytes()
+        assert all(evaluate_middle(rep, X).tobytes() == first for _ in range(3))
+        assert len(compiled) == 1
 
     def test_result_is_exactly_symmetric(self):
         rnd = random.Random(33)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from ncharm import (
     word,
 )
 from ncharm.cli import emit_json
+from ncharm import ncpoly
 from ncharm.harmonicspace import gamma_power_parts
 from ncharm.ncpoly import EvalPlan
 
@@ -275,6 +277,84 @@ class TestEvaluate:
             MatrixPoint(X=(np.eye(2), M))
         with pytest.raises(ValueError, match="finite"):
             MatrixPoint(X=(np.eye(2), np.eye(2)), H=M)
+
+
+class TestEvalPlanKernel:
+    """The level-batched kernel against the word-by-word oracle, across its
+    padded term tables, sample slices and term chunks."""
+
+    def _sym(self, rnd, n, bound=2.0):
+        A = np.array([[rnd.uniform(-bound, bound) for _ in range(n)] for _ in range(n)])
+        return symmetrize(np.where(np.abs(A) < 0.2 * bound, -0.0, A))
+
+    def _groups(self, rnd, g, lengths):
+        polys = []
+        for count in lengths:
+            terms = {}
+            while len(terms) < count:
+                w = bytes(rnd.randint(0, g) for _ in range(rnd.randint(0, 6)))
+                terms[w] = Fraction(rnd.randint(-9, 9) or 1, rnd.randint(1, 7))
+            polys.append(Poly(g, terms))
+        return polys
+
+    def _point(self, rnd, g, n):
+        return MatrixPoint(X=tuple(self._sym(rnd, n) for _ in range(g)), H=self._sym(rnd, n))
+
+    def test_unequal_groups_and_signed_zeros_equal_oracle(self):
+        rnd = random.Random(41)
+        for _ in range(30):
+            g = rnd.randint(1, 3)
+            polys = self._groups(rnd, g, [1, 40, 0, 2, 17, 1, 3, 9, 1, 5])
+            pt = self._point(rnd, g, rnd.randint(1, 4))
+            values = EvalPlan([p._terms for p in polys]).run([pt.H, *pt.X])
+            assert values.shape == (len(polys), pt.n, pt.n)
+            for value, p in zip(values, polys):
+                assert value.tobytes() == evaluate_oracle(p, pt).tobytes()
+
+    def test_stack_slices_and_term_chunks_equal_single_points(self, monkeypatch):
+        rnd = random.Random(42)
+        polys = self._groups(rnd, 2, [5, 30, 1, 12, 3])
+        plan = EvalPlan([p._terms for p in polys])
+        n, S = 2, 10
+        points = [self._point(rnd, 2, n) for _ in range(S)]
+        mats = [np.stack([pt.H for pt in points])]
+        mats += [np.stack([pt.X[i] for pt in points]) for i in range(2)]
+        runs = [plan.run(mats)]
+        # Slices of 3 samples: 0-2, 3-5, 6-8 and 9.
+        monkeypatch.setattr(ncpoly, "_RUN_BYTES", 8 * n * n * plan._whole.cost * 3)
+        runs.append(plan.run(mats))
+        # One sample at a time, the terms in chunks that split groups.
+        room = plan._whole.cost // 3
+        monkeypatch.setattr(ncpoly, "_RUN_BYTES", 8 * n * n * room)
+        assert len(plan._split(0, len(plan._coef), room)) > 2
+        runs.append(plan.run(mats))
+        for s, pt in enumerate(points):
+            for gi, p in enumerate(polys):
+                want = evaluate_oracle(p, pt).tobytes()
+                assert [r[gi, s].tobytes() for r in runs] == [want] * len(runs)
+
+    def test_run_memory_is_bounded(self):
+        rnd = random.Random(43)
+        terms = {}
+        while len(terms) < 1000:
+            w = bytes(rnd.randint(1, 3) for _ in range(18))
+            terms[w] = Fraction(rnd.randint(1, 9), rnd.randint(1, 5))
+        plan = EvalPlan.of(Poly(3, terms))
+        nodes = plan._starts[-1]
+        S, n = 64, 3
+        mats = [None] + [np.stack([self._sym(rnd, n, 1.0) for _ in range(S)])
+                         for _ in range(3)]
+        assert nodes >= 10_000
+        # Every product of the plan at once would fill the budget 4 times.
+        assert nodes * S * n * n * 8 > 4 * ncpoly._RUN_BYTES
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            plan.run(mats)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= ncpoly._RUN_BYTES
 
 
 class TestDegreeProfile:
