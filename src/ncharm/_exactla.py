@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Internal helpers: sparse reduced-echelon elimination and nullspace for the
-Laplacian coefficient systems, small dense solvers for expressing vectors
-over spanning rows, and symmetric congruence diagonalization used by the
-sum-of-squares construction.  Everything here works in Fraction arithmetic
-and is deterministic: pivots are chosen in a fixed scan order, never by
+Internal helpers: one sparse reduced-echelon elimination, SparseRref, and
+on it the nullspace of the Laplacian coefficient systems, the rank of a
+dense matrix and the expression of a vector over spanning rows; and the
+symmetric congruence diagonalization used by the sum-of-squares
+construction.  Everything here works in Fraction arithmetic and is
+deterministic: pivots are chosen in a fixed scan order, never by
 magnitude, so identical inputs give identical outputs.
 """
 
@@ -16,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 __all__ = [
     "SparseRref",
     "sparse_nullspace",
-    "dense_rref",
     "dense_rank",
     "express_over_rows",
     "congruence_diagonalize",
@@ -111,38 +111,11 @@ def sparse_nullspace(rows: Iterable[Row], ncols: int) -> list[list[Fraction]]:
     return vectors
 
 
-def dense_rref(mat: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form of a dense matrix.
-
-    Returns (rows, pivot_cols) with zero rows dropped; deterministic
-    first-nonzero pivoting.
-    """
-    rows = [[Fraction(v) for v in row] for row in mat]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivot_cols
-
-
 def dense_rank(mat: Sequence[Sequence[Fraction]]) -> int:
-    return len(dense_rref(mat)[0])
+    rref = SparseRref()
+    for row in mat:
+        rref.insert({j: v for j, v in enumerate(row) if v})
+    return rref.rank
 
 
 def express_over_rows(
@@ -150,32 +123,37 @@ def express_over_rows(
 ) -> Optional[list[Fraction]]:
     """Coefficients c with sum_i c[i]*rows[i] == target, or None.
 
-    With linearly dependent rows the pivot-based particular solution is
-    returned (deterministic).
+    Row reduces [rows | I] with its columns numbered from the right, so
+    that SparseRref's largest-column pivot is the leftmost nonzero column
+    and the result is the unique reduced row echelon form of [rows | I].
+    With linearly dependent rows the returned particular solution is the
+    one that form determines: target[c] times the identity part of the
+    row pivoting at c, summed over the pivot columns c of rows.
     """
     k = len(rows)
     if k == 0:
         return [] if not any(target) else None
     ncols = len(rows[0])
-    # Row reduce [rows | I] so combinations can be traced back.
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(1 if j == i else 0) for j in range(k)]
-        for i, row in enumerate(rows)
-    ]
-    reduced, pivot_cols = dense_rref(aug)
-    # Keep only pivots inside the original column range.
+    last = ncols + k - 1
+    rref = SparseRref()
+    for i, row in enumerate(rows):
+        flipped = {last - j: v for j, v in enumerate(row) if v}
+        flipped[last - ncols - i] = 1
+        rref.insert(flipped)
     residual = [Fraction(v) for v in target]
     combo = [Fraction(0)] * k
-    for row, c in zip(reduced, pivot_cols):
-        if c >= ncols:
+    for lead, prow in rref.pivots.items():
+        c = last - lead
+        # No other row holds column c, so residual[c] is still target[c].
+        if c >= ncols or not residual[c]:
             continue
         a = residual[c]
-        if not a:
-            continue
-        for j in range(ncols):
-            residual[j] -= a * row[j]
-        for j in range(k):
-            combo[j] += a * row[ncols + j]
+        for col, v in prow.items():
+            j = last - col
+            if j < ncols:
+                residual[j] -= a * v
+            else:
+                combo[j - ncols] += a * v
     if any(residual):
         return None
     return combo

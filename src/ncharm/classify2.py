@@ -16,8 +16,8 @@ The decision procedure follows the structure of the underlying theory:
 
 The Gram machinery (neighbor split at half degree, expression over the
 harmonic basis, congruence diagonalization) works for any number of
-variables whose harmonic basis has the word-independence property; only
-the closed-form classification above is specific to two variables.
+variables; only the closed-form classification above is specific to two
+variables.
 """
 
 from __future__ import annotations
@@ -28,15 +28,16 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._exactla import (
+    SparseRref,
     congruence_diagonalize,
     dense_rank,
     express_over_rows,
-    is_psd_rational,
+    sparse_nullspace,
 )
 from .calculus import directional_derivative, laplacian
 from .harmonicspace import (
     HarmonicBasis,
-    check_independence_property,
+    _vectorize,
     express_in_basis,
     gamma_power_parts,
     harmonic_basis,
@@ -167,26 +168,13 @@ class GramForm:
     phi: tuple
 
     def reconstruct(self) -> Poly:
-        return _gram_reconstruct(self.vectors, self.phi)
-
-
-def _gram_reconstruct(vectors: Sequence[Poly], matrix: Sequence[Sequence[Fraction]]) -> Poly:
-    g = vectors[0].g if vectors else 2
-    acc = Poly.zero(g)
-    for a, va in enumerate(vectors):
-        vat = va.transpose()
-        for b, vb in enumerate(vectors):
-            c = matrix[a][b]
-            if c:
-                acc = acc + (vat * vb).scale(c)
-    return acc
-
-
-def _vector_over_words(p: Poly, index: dict) -> list[Fraction]:
-    vec = [Fraction(0)] * len(index)
-    for w, c in p._terms.items():
-        vec[index[w]] = c
-    return vec
+        acc = Poly.zero(self.vectors[0].g if self.vectors else 2)
+        for va, row in zip(self.vectors, self.phi):
+            vat = va.transpose()
+            for vb, c in zip(self.vectors, row):
+                if c:
+                    acc = acc + (vat * vb).scale(c)
+        return acc
 
 
 def _arranged_harmonics(g: int, m: int):
@@ -198,10 +186,6 @@ def _arranged_harmonics(g: int, m: int):
     basis elements paired with their transposes.
     """
     basis = harmonic_basis(g, m)
-    if check_independence_property(basis) is None:
-        raise GramObstruction(
-            f"harmonic basis for (g={g}, d={m}) lacks the independence property"
-        )
     if g == 2 and m == 2:
         x1 = Poly.variable(2, 1)
         x2 = Poly.variable(2, 2)
@@ -224,24 +208,16 @@ def _arranged_harmonics(g: int, m: int):
 def _split_symmetric(basis: HarmonicBasis):
     """Split a transpose-closed space into symmetric combos and a
     non-symmetric completion (general-g path)."""
-    from ._exactla import SparseRref, sparse_nullspace
-
     index = {w: i for i, w in enumerate(basis.word_index)}
-    k = len(basis.elements)
-    n = len(basis.word_index)
-    # c is a symmetric combination iff c * (B - B_reversed) = 0.
-    rows = []
-    for row, p in zip(basis.coeff_rows, basis.elements):
-        diff = [Fraction(0)] * n
-        for w, c in p._terms.items():
-            diff[index[w]] += c
-            diff[index[w[::-1]]] -= c
-        rows.append(diff)
-    # Nullspace over the k combination coefficients.
-    combo_rows = [
-        {i: rows[i][j] for i in range(k) if rows[i][j]} for j in range(n)
-    ]
-    combos = sparse_nullspace(combo_rows, k)
+    # c is a symmetric combination iff sum_i c_i (B_i - B_i^T) = 0: one
+    # equation per word, over the k combination coefficients.
+    combo_rows: list[dict] = [{} for _ in index]
+    for i, el in enumerate(basis.elements):
+        for w, c in el._terms.items():
+            forward, backward = combo_rows[index[w]], combo_rows[index[w[::-1]]]
+            forward[i] = forward.get(i, 0) + c
+            backward[i] = backward.get(i, 0) - c
+    combos = sparse_nullspace(combo_rows, basis.dimension)
     s = []
     for combo in combos:
         q = Poly.zero(basis.g)
@@ -259,68 +235,91 @@ def _split_symmetric(basis: HarmonicBasis):
     return s, u
 
 
+_OBSTRUCTIONS = {
+    0: ("right neighbors at half degree are not all harmonic",
+        "aggregated left factors are not harmonic; "
+        "the polynomial admits no harmonic Gram form"),
+    1: ("a right neighbor at (d-1)/2 is not harmonic; no sandwich form",
+        "an aggregated left factor is not harmonic; no sandwich form"),
+}
+
+
+def _sandwich_coords(p: Poly, basis: HarmonicBasis, mid: int) -> list:
+    """Exact c[a][i][j] with p = sum c[a][i][j] gamma_a x_(i+1) gamma_j
+    when mid is 1, and p = sum c[a][0][j] gamma_a gamma_j when mid is 0,
+    over the basis gamma of degree m = (deg p - mid) / 2.
+
+    p is split once at its leading words of length m + mid.  Each right
+    neighbor p_lead is expressed over the basis as sum_j mu_j gamma_j, and
+    each aggregated left factor sum_t mu_j(t x_i) x^t (sum_t mu_j(t) x^t
+    when mid is 0) over the basis again.  Raises GramObstruction with the
+    leading words whose neighbors are not harmonic, or for a left factor
+    that is not harmonic.
+    """
+    neighbor_reason, left_reason = _OBSTRUCTIONS[mid]
+    k = basis.dimension
+    slots = p.g if mid else 1
+    left: list[list[dict]] = [[{} for _ in range(slots)] for _ in range(k)]
+    failing = []
+    for lead, part in right_neighbor(p, basis.d + mid).parts.items():
+        mu = express_in_basis(part, basis)
+        if mu is None:
+            failing.append(lead)
+            continue
+        t, i = (lead[:-1], lead[-1] - 1) if mid else (lead, 0)
+        for j, c in enumerate(mu):
+            if c:
+                left[j][i][t] = c
+    if failing:
+        raise GramObstruction(neighbor_reason, sorted(failing))
+    coords = [[[Fraction(0)] * k for _ in range(slots)] for _ in range(k)]
+    for j, factors in enumerate(left):
+        for i, terms in enumerate(factors):
+            if terms:
+                mu = express_in_basis(Poly(p.g, terms), basis)
+                if mu is None:
+                    raise GramObstruction(left_reason)
+                for a, c in enumerate(mu):
+                    coords[a][i][j] = c
+    return coords
+
+
 def gram_from_neighbors(p: Poly) -> GramForm:
     """Express symmetric homogeneous even-degree p over half-degree harmonics.
 
-    Requires every right neighbor of p at half degree to be harmonic and
-    the half-degree harmonic basis to satisfy the independence property;
-    a failed neighbor is reported as a GramObstruction, which is an exact
-    proof that p is not subharmonic.
+    The two-sided expansion p = sum_ij psi_ij gamma_i gamma_j over the
+    echelon harmonic basis of half degree is moved to the arranged list.
+    Every right neighbor of p at half degree must be harmonic; a failed
+    neighbor is reported as a GramObstruction, which is an exact proof
+    that p is not subharmonic.
     """
     if not p.is_symmetric():
         raise ValueError("gram_from_neighbors requires a symmetric polynomial")
     d = p.homogeneous_degree()
     if d is None or d % 2 or d < 2:
         raise ValueError("gram_from_neighbors requires homogeneous even degree >= 2")
-    m = d // 2
-    basis, vectors, perm = _arranged_harmonics(p.g, m)
-    ok, failing = neighbor_harmonicity_check(p, m)
-    if not ok:
-        raise GramObstruction(
-            "right neighbors at half degree are not all harmonic", failing
-        )
-    dec = right_neighbor(p, m)
+    basis, vectors, perm = _arranged_harmonics(p.g, d // 2)
+    coords = _sandwich_coords(p, basis, 0)
     k = basis.dimension
-    # p = sum_j pj * gamma_j with pj collecting the leading words.
-    pj_terms: list[dict] = [dict() for _ in range(k)]
-    for t, part in dec.parts.items():
-        mu = express_in_basis(part, basis)
-        if mu is None:
-            raise AssertionError("harmonic neighbor escaped the harmonic basis")
-        for j, coeff in enumerate(mu):
-            if coeff:
-                pj_terms[j][t] = coeff
-    psi_cols = []
-    for j in range(k):
-        pj = Poly(p.g, pj_terms[j])
-        coords = express_in_basis(pj, basis) if (pj.is_zero() or pj.is_homogeneous(m)) else None
-        if coords is None:
-            raise GramObstruction(
-                "aggregated left factors are not harmonic; "
-                "the polynomial admits no harmonic Gram form"
-            )
-        psi_cols.append(coords)
-    # psi[i][j]: p = sum_ij psi_ij gamma_i gamma_j.
-    psi = [[psi_cols[j][i] for j in range(k)] for i in range(k)]
+    psi = [[coords[i][0][j] for j in range(k)] for i in range(k)]
     # Change coordinates from the echelon basis to the arranged list.
-    words = sorted({w for v in vectors for w in v._terms} |
-                   {w for el in basis.elements for w in el._terms})
-    index = {w: i for i, w in enumerate(words)}
-    vec_rows = [_vector_over_words(v, index) for v in vectors]
+    index = {w: i for i, w in enumerate(basis.word_index)}
+    vec_rows = [_vectorize(v, index) for v in vectors]
     C = []
     for el in basis.elements:
-        coeffs = express_over_rows(vec_rows, _vector_over_words(el, index))
+        coeffs = express_over_rows(vec_rows, _vectorize(el, index))
         if coeffs is None:
             raise AssertionError("arranged list fails to span the harmonic basis")
         C.append(coeffs)
     nv = len(vectors)
-    ctpc = [
-        [
-            sum((C[i][a] * psi[i][j] * C[j][b] for i in range(k) for j in range(k)),
-                Fraction(0))
-            for b in range(nv)
-        ]
+    # C^T psi C as two products: k*nv*(k + nv) multiplications, not k^2*nv^2.
+    ct_psi = [
+        [sum((C[i][a] * psi[i][j] for i in range(k)), Fraction(0)) for j in range(k)]
         for a in range(nv)
+    ]
+    ctpc = [
+        [sum((row[j] * C[j][b] for j in range(k)), Fraction(0)) for b in range(nv)]
+        for row in ct_psi
     ]
     psi_raw = [[ctpc[perm[a]][b] for b in range(nv)] for a in range(nv)]
     phi = [
@@ -513,7 +512,7 @@ def _membership_generators(d: int):
     gens = [re_d * re_d, re_2d, im_2d]
     words = sorted({w for q in gens for w in q._terms})
     index = {w: i for i, w in enumerate(words)}
-    rows = [_vector_over_words(q, index) for q in gens]
+    rows = [_vectorize(q, index) for q in gens]
     if dense_rank(rows) != 3:
         raise AssertionError(f"membership generators dependent at degree {2 * d}")
     return gens, rows, index
@@ -534,7 +533,7 @@ def high_even_membership(p: Poly) -> Optional[tuple]:
     gens, rows, index = _membership_generators(d)
     if any(w not in index for w in p._terms):
         return None
-    coeffs = express_over_rows(rows, _vector_over_words(p, index))
+    coeffs = express_over_rows(rows, _vectorize(p, index))
     if coeffs is None:
         return None
     return tuple(coeffs)
@@ -555,16 +554,13 @@ class Verdict:
     witness: Optional[Witness] = None
 
 
-def _negate_tuple(X):
-    return tuple(-M for M in X)
-
-
 def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
     """Witness search for odd total degree: the Laplacian is odd in x, so
     if a sampled point is positive, flipping the sign of X flips it."""
     import numpy as np
 
-    from .positivity import Witness, draw_point, min_eigenvalue, sample_matrix_positive
+    from .positivity import Witness, _check_numeric_symmetry, draw_point
+    from .positivity import min_eigenvalue, sample_matrix_positive
 
     g = lap.g
     plan = EvalPlan.of(lap)
@@ -573,14 +569,17 @@ def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
         for s in range(flip_tries):
             pt = draw_point(cfg, g, n, s, True)
             X, H = pt.X, pt.H
-            M = plan.run([H, *X])[0]
-            M = (M + M.T) / 2.0
-            eigs = np.linalg.eigvalsh(M)
+            # The symmetry check refuses, by name, a value that overflowed.
+            with np.errstate(over="ignore", invalid="ignore"):
+                M = plan.run([H, *X])[0]
+            eigs = np.linalg.eigvalsh(_check_numeric_symmetry(M))
             if eigs[0] < -cfg.tol:
                 return Witness(n=n, X=X, H=H, min_eig=float(eigs[0]), sample_index=s)
             if eigs[-1] > cfg.tol:
-                Xn = _negate_tuple(X)
-                me = min_eigenvalue(plan.run([H, *Xn])[0])
+                Xn = tuple(-Xi for Xi in X)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    M = plan.run([H, *Xn])[0]
+                me = min_eigenvalue(M)
                 if me < -cfg.tol:
                     return Witness(n=n, X=Xn, H=H, min_eig=me, sample_index=s)
     return sample_matrix_positive(lap, cfg).witness
@@ -669,27 +668,26 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
                 region=region,
             )
         if region.kind == "Boundary":
+            # The g = 2 arranged list is independent, so every nonzero pivot
+            # of the congruence is a term: the Gram form is PSD iff every
+            # term has d > 0.
             try:
-                form = gram_from_neighbors(p)
-                if is_psd_rational([list(row) for row in form.phi]):
+                dec = sos_decompose(p)
+            except GramObstruction as obstruction:
+                reason = obstruction.reason
+            else:
+                if all(d > 0 for d, _ in dec.terms):
                     return Verdict(
                         kind="SubharmonicBoundaryCertified",
                         reason="exact PSD Gram certificate on the inequality boundary",
                         region=region,
-                        sos=sos_decompose(p),
+                        sos=dec,
                     )
-            except GramObstruction as obstruction:
-                verdict = sample_matrix_positive(lap, cfg)
-                return Verdict(
-                    kind="NotSubharmonic" if verdict.witness else "Unknown",
-                    reason=obstruction.reason,
-                    region=region,
-                    witness=verdict.witness,
-                )
+                reason = "boundary point without a PSD Gram certificate"
             verdict = sample_matrix_positive(lap, cfg)
             return Verdict(
                 kind="NotSubharmonic" if verdict.witness else "Unknown",
-                reason="boundary point without a PSD Gram certificate",
+                reason=reason,
                 region=region,
                 witness=verdict.witness,
             )
@@ -762,10 +760,11 @@ class OddSandwich:
 def odd_sandwich(p: Poly) -> OddSandwich:
     """Exact sandwich coefficients of a harmonic p of odd degree >= 3.
 
-    Computed by the right-neighbor split at (d-1)/2 + 1 followed by
-    expression of the aggregated left factors over the same basis; the
-    reconstruction is verified exactly.  Raises ValueError when p is not
-    harmonic and GramObstruction when the decomposition is infeasible.
+    The two-sided expansion that gram_from_neighbors uses, with one middle
+    letter: the right-neighbor split at (d-1)/2 + 1, then expression of
+    the aggregated left factors over the same basis.  The reconstruction
+    is verified exactly.  Raises ValueError when p is not harmonic and
+    GramObstruction when the decomposition is infeasible.
     """
     if p.is_zero():
         return OddSandwich(g=p.g, d=None, basis=None, phi=())
@@ -776,49 +775,10 @@ def odd_sandwich(p: Poly) -> OddSandwich:
         raise ValueError("odd_sandwich requires homogeneous odd degree >= 3")
     if not laplacian(p).is_zero():
         raise ValueError("odd_sandwich requires a harmonic polynomial")
-    g = p.g
-    m = (d - 1) // 2
-    basis = harmonic_basis(g, m)
-    if check_independence_property(basis) is None:
-        raise GramObstruction(
-            f"harmonic basis for (g={g}, d={m}) lacks the independence property"
-        )
-    k = basis.dimension
-    dec = right_neighbor(p, m + 1)
-    # mu[j] maps the leading word t*x_i to the j-th basis coordinate.
-    pj_by_letter: list[list[dict]] = [
-        [dict() for _ in range(g)] for _ in range(k)
-    ]
-    for lead, part in dec.parts.items():
-        coords = express_in_basis(part, basis)
-        if coords is None:
-            raise GramObstruction(
-                "a right neighbor at (d-1)/2 is not harmonic; no sandwich form"
-            )
-        t, letter = lead[:-1], lead[-1]
-        for j, c in enumerate(coords):
-            if c:
-                pj_by_letter[j][letter - 1][t] = c
-    phi = []
-    for mdx in range(k):
-        plane = []
-        for i in range(g):
-            plane.append([Fraction(0)] * k)
-        phi.append(plane)
-    for j in range(k):
-        for i in range(g):
-            q = Poly(g, pj_by_letter[j][i])
-            if q.is_zero():
-                continue
-            coords = express_in_basis(q, basis)
-            if coords is None:
-                raise GramObstruction(
-                    "an aggregated left factor is not harmonic; no sandwich form"
-                )
-            for mdx, c in enumerate(coords):
-                phi[mdx][i][j] = c
+    basis = harmonic_basis(p.g, (d - 1) // 2)
+    phi = _sandwich_coords(p, basis, 1)
     result = OddSandwich(
-        g=g,
+        g=p.g,
         d=d,
         basis=basis,
         phi=tuple(tuple(tuple(row) for row in plane) for plane in phi),

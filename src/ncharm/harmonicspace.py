@@ -161,14 +161,12 @@ def harmonic_basis(g: int, d: int) -> HarmonicBasis:
     )
 
 
-def _vectorize(p: Poly, basis: HarmonicBasis) -> list[Fraction]:
-    index = {w: i for i, w in enumerate(basis.word_index)}
-    vec = [Fraction(0)] * len(basis.word_index)
+def _vectorize(p: Poly, index: dict) -> list[Fraction]:
+    """Coefficient vector of p over the words numbered by index."""
+    vec = [Fraction(0)] * len(index)
     for w, c in p._terms.items():
         if w not in index:
-            raise ValueError(
-                f"word {w!r} does not belong to the degree-{basis.d} enumeration"
-            )
+            raise ValueError(f"word {w!r} does not belong to the word list")
         vec[index[w]] = c
     return vec
 
@@ -183,7 +181,7 @@ def express_in_basis(p: Poly, basis: HarmonicBasis) -> Optional[list[Fraction]]:
         raise ValueError(f"num_vars mismatch: {p.g} vs basis {basis.g}")
     if not p.is_homogeneous(basis.d) and not p.is_zero():
         raise ValueError(f"polynomial is not homogeneous of degree {basis.d}")
-    vec = _vectorize(p, basis)
+    vec = _vectorize(p, {w: i for i, w in enumerate(basis.word_index)})
     coords = [vec[c] for c in basis.pivot_cols]
     # Residual check: subtract the combination and demand exact zero.
     residual = list(vec)

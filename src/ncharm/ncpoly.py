@@ -61,6 +61,11 @@ _ORDER_TABLE = bytes([255] + list(range(1, 256)))
 # x255 would share h's sort key, so the word order is total only below it.
 MAX_VARS = 254
 
+# The most letters (terms times longest word) that one product or power in
+# parsed text may expand to; the parser refuses larger input before
+# expanding it.  A product of k two-term factors reaches it at k = 13.
+MAX_PARSE_LETTERS = 1 << 16
+
 
 def check_num_vars(g: int) -> None:
     """Reject a variable count outside 0..MAX_VARS."""
@@ -459,8 +464,21 @@ class _Parser:
             p = self._factor()
         while self._peek() == "*":
             self.pos += 1
-            p = p * self._factor()
+            start = self.pos
+            f = self._factor()
+            self._check_expansion(
+                len(p) * len(f) * (p.total_degree() + f.total_degree()), start
+            )
+            p = p * f
         return p
+
+    def _check_expansion(self, letters: int, position: int) -> None:
+        if letters > MAX_PARSE_LETTERS:
+            raise ParseError(
+                f"expansion to {letters} letters exceeds "
+                f"MAX_PARSE_LETTERS = {MAX_PARSE_LETTERS}",
+                position,
+            )
 
     def _factor(self) -> Poly:
         ch = self._peek()
@@ -476,7 +494,7 @@ class _Parser:
             return p.transpose()
         if ch == "h":
             self.pos += 1
-            base = Poly.direction(self.g)
+            letter = H_LETTER
         elif ch == "x":
             var_pos = self.pos
             self.pos += 1
@@ -485,13 +503,16 @@ class _Parser:
                 raise ParseError(
                     f"variable index x{idx} out of range 1..{self.g}", var_pos
                 )
-            base = Poly.variable(self.g, idx)
+            letter = idx
         else:
             raise ParseError("expected a variable, 'h', '(' or 'T('", self.pos)
+        power = 1
         if self._peek() == "^":
             self.pos += 1
-            return base ** self._nat()
-        return base
+            start = self.pos
+            power = self._nat()
+            self._check_expansion(power, start)
+        return Poly.monomial(self.g, bytes([letter]) * power)
 
 
 def parse(text: str, num_vars: int) -> Poly:

@@ -174,6 +174,63 @@ def rank_oracle(rows) -> int:
     return rank
 
 
+def rref_oracle(mat):
+    """Reduced row echelon form of a dense matrix by textbook Gauss-Jordan
+    elimination with first-nonzero pivoting.
+
+    Returns (rows, pivot_cols) with zero rows dropped.
+    """
+    rows = [[Fraction(v) for v in row] for row in mat]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivot_cols
+
+
+def express_oracle(rows, target):
+    """The particular solution of sum_i c[i]*rows[i] == target that the
+    reduced row echelon form of [rows | I] determines, or None."""
+    k = len(rows)
+    if k == 0:
+        return [] if not any(target) else None
+    ncols = len(rows[0])
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(j == i)) for j in range(k)]
+        for i, row in enumerate(rows)
+    ]
+    reduced, pivot_cols = rref_oracle(aug)
+    residual = [Fraction(v) for v in target]
+    combo = [Fraction(0)] * k
+    for row, c in zip(reduced, pivot_cols):
+        a = residual[c] if c < ncols else 0
+        if not a:
+            continue
+        for j in range(ncols):
+            residual[j] -= a * row[j]
+        for j in range(k):
+            combo[j] += a * row[ncols + j]
+    if any(residual):
+        return None
+    return combo
+
+
 def nullity_oracle(rows, ncols: int) -> int:
     dense = [list(r) for r in rows]
     if not dense:

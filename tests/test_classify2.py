@@ -360,6 +360,30 @@ class TestClassify:
         assert v.kind == "NotSubharmonic"
         assert v.witness is not None
 
+    def test_boundary_certified_iff_gram_psd(self):
+        # The boundary branch decides from the signs of its SOS terms; the
+        # exact PSD test of the Gram form must agree on every member.
+        rnd = random.Random(58)
+        cfg = SampleConfig(seed=1, sizes=(1, 2), samples_per_size=2)
+        members = [degree4_family(Degree4Coeffs(1, 0, 0, 0, 0, 0))]
+        while len(members) < 8:
+            Hh, Jj, K = (Fraction(rnd.randint(1, 4)), Fraction(rnd.randint(-2, 2)),
+                         Fraction(rnd.randint(-2, 2)))
+            b1, b3 = Fraction(rnd.randint(-2, 2)), Fraction(rnd.randint(-2, 2))
+            G = (Jj * Jj + K * K) / Hh
+            B = Degree4Coeffs(b1, Jj + b3, b3, K - b1, G - b1, Hh - b1)
+            assert degree4_inequalities(B).kind == "Boundary"
+            members.append(degree4_family(B))
+        kinds = set()
+        for p in members:
+            v = classify(p, cfg)
+            psd = is_psd_rational([list(r) for r in gram_from_neighbors(p).phi])
+            assert (v.kind == "SubharmonicBoundaryCertified") == psd
+            if not psd:
+                assert v.reason == "boundary point without a PSD Gram certificate"
+            kinds.add(v.kind)
+        assert "SubharmonicBoundaryCertified" in kinds and len(kinds) > 1
+
     def test_degree_four_nonmember(self):
         v = classify(parse("x1^4", 2), CFG)
         assert v.kind == "NotSubharmonic"

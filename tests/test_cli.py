@@ -36,8 +36,14 @@ PINNED_CASES = {
                              "x1^6 - x2^6"],
     "sos.text": ["sos", "x1^4 - x1^2*x2^2 - x2^2*x1^2 + x2^4"],
     "sos.json": ["sos", "--json", "x1^4 - x1^2*x2^2 - x2^2*x1^2 + x2^4"],
+    "sos.vars3.text": ["sos", "--vars", "3",
+                       "x1*x2^2*x1 + x2*x3^2*x2 - x1*x3*x1*x3 - x3*x1*x3*x1"],
+    "sos.vars3.json": ["sos", "--json", "--vars", "3",
+                       "x1*x2^2*x1 + x2*x3^2*x2 - x1*x3*x1*x3 - x3*x1*x3*x1"],
     "odd-sandwich.text": ["odd-sandwich", "x1^3 - x1*x2^2 - x2*x1*x2 - x2^2*x1"],
     "odd-sandwich.json": ["odd-sandwich", "--json", "x1^3 - x1*x2^2 - x2*x1*x2 - x2^2*x1"],
+    "odd-sandwich.vars3": ["odd-sandwich", "--vars", "3",
+                           "x1^3 - x3^2*x1 - x3*x1*x3 - x1*x3^2 + 2*x1^2*x2 - 2*x3^2*x2"],
     "eval.x": ["eval", "--point", "{point}", "x1*x2 + x2*x1 + 3*x2^2"],
     "eval.h.json": ["eval", "--json", "--point", "{point}", "h*x1*h + x2 - 1/3"],
     "sample.counterexample": ["sample", "--seed", "3", "--samples", "20", "x1^3 + x2*x1*x2"],
@@ -333,6 +339,8 @@ class TestInputDomain:
             (["laplacian", "--vars", "300", "x256^2"], "num_vars must be at most 254"),
             (["harmonic-basis", "--vars", "300", "--degree", "1"],
              "num_vars must be at most 254"),
+            (["laplacian", "*".join(["(x1+x2)"] * 30)],
+             "exceeds MAX_PARSE_LETTERS = 65536"),
         ],
     )
     def test_rejected_with_exit_two(self, argv, message):
@@ -370,6 +378,7 @@ class TestInputDomain:
     @pytest.mark.parametrize("command, error", [
         ("sample", "matrix entries must be finite numbers, found inf"),
         ("eval", "cannot write the non-finite number inf as JSON"),
+        ("classify", "matrix entries must be finite numbers, found -inf"),
     ])
     def test_overflow_prints_only_the_error_line(self, tmp_path, command, error):
         # A fresh interpreter, so numpy's RuntimeWarning lines would show.
@@ -379,6 +388,9 @@ class TestInputDomain:
         argv = {
             "sample": ["sample", "--seed", "1", "--samples", "3", f"{c}*x1^2 + {c}*x2^2"],
             "eval": ["eval", "--point", str(point), "x1^2"],
+            # The odd-degree witness search evaluates the Laplacian itself.
+            "classify": ["classify", "--seed", "1", "--samples", "3", "--sizes", "3",
+                         "1" + "0" * 307 + "*x1^5"],
         }[command]
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(

@@ -6,13 +6,12 @@ import numpy as np
 from ncharm._exactla import (
     congruence_diagonalize,
     dense_rank,
-    dense_rref,
     express_over_rows,
     is_psd_rational,
     sparse_nullspace,
 )
 
-from _helpers import nullity_oracle, rank_oracle
+from _helpers import express_oracle, nullity_oracle, rank_oracle, rref_oracle
 
 
 def _random_symmetric(rnd, n, zero_diag=False):
@@ -85,14 +84,9 @@ class TestNullspace:
             # Canonical: recomputing yields the identical basis, which is
             # already in reduced row echelon form.
             assert sparse_nullspace(rows, ncols) == basis
-            assert dense_rref(basis)[0] == basis
+            assert rref_oracle(basis)[0] == basis
 
     def test_rref_shape(self):
-        rows, pivots = dense_rref(
-            [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]
-        )
-        assert rows == [[Fraction(1), Fraction(2)]]
-        assert pivots == [0]
         assert dense_rank([[Fraction(0)] * 3]) == 0
 
 
@@ -124,3 +118,34 @@ class TestExpressOverRows:
         assert express_over_rows(rows, [Fraction(0), Fraction(1)]) is None
         assert express_over_rows([], [Fraction(1)]) is None
         assert express_over_rows([], [Fraction(0)]) == []
+
+    def test_particular_solution_on_dependent_rows(self):
+        # Values pinned from the dense Gauss-Jordan solver this replaced.
+        F = Fraction
+        rows = [[F(1), F(2), F(0)], [F(2), F(4), F(0)],
+                [F(0), F(1), F(1)], [F(1), F(3), F(1)]]
+        assert express_over_rows(rows, [F(3), F(7), F(1)]) == [0, 0, -2, 3]
+        assert express_over_rows(rows, [F(2), F(4), F(0)]) == [0, 0, -2, 2]
+        assert express_over_rows(rows, [F(1), F(3), F(1)]) == [0, 0, 0, 1]
+        assert express_over_rows(rows, [F(0)] * 3) == [0, 0, 0, 0]
+        rows = [[F(1, 2), F(-1), F(3)], [F(-1), F(2), F(-6)],
+                [F(0), F(0), F(5)], [F(1), F(0), F(2)]]
+        assert express_over_rows(rows, [F(1), F(1), F(1)]) == [
+            0, F(1, 2), F(1, 5), F(3, 2)]
+        assert express_over_rows(rows, [F(3, 2), F(-1), F(10)]) == [
+            0, F(-1, 2), 1, 1]
+
+    def test_arranged_list_coordinates_match_oracle(self):
+        # 11 arranged vectors span the 8 harmonics of (3, 2): the rows are
+        # dependent, and each basis element has one pinned particular
+        # solution.
+        from ncharm.classify2 import _arranged_harmonics
+        from ncharm.harmonicspace import _vectorize
+
+        basis, vectors, _ = _arranged_harmonics(3, 2)
+        index = {w: i for i, w in enumerate(basis.word_index)}
+        rows = [_vectorize(v, index) for v in vectors]
+        assert (len(rows), rank_oracle(rows)) == (11, 8)
+        for el in basis.elements:
+            target = _vectorize(el, index)
+            assert express_over_rows(rows, target) == express_oracle(rows, target)

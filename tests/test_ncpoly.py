@@ -80,6 +80,18 @@ class TestParse:
             with pytest.raises(ValueError, match="at most 254"):
                 Poly(g)
 
+    def test_expansion_cap(self):
+        limit = ncpoly.MAX_PARSE_LETTERS
+        # Twelve two-term factors expand to 4096 words of 12 letters; the
+        # thirteenth product would write 8192 * 13 letters.
+        assert len(parse("*".join(["(x1+x2)"] * 12), 2)) == 4096
+        with pytest.raises(ParseError, match="106496 letters exceeds MAX_PARSE_LETTERS"):
+            parse("*".join(["(x1+x2)"] * 13), 2)
+        assert parse(f"x1^{limit}", 2) == Poly.monomial(2, bytes([1]) * limit)
+        with pytest.raises(ParseError, match=f"{limit + 1} letters"):
+            parse(f"h^{limit + 1}", 2)
+        assert parse("x1^0*h^2", 2) == parse("h^2", 2)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("x1 x2", 2)

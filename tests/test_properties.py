@@ -1,0 +1,98 @@
+"""Property tests: round trips and library results against the oracles.
+
+Examples are derandomized and few, so the module runs in about a second
+and gives the same cases on every run.
+"""
+
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncharm import Poly, laplacian, parse
+from ncharm._exactla import express_over_rows
+from ncharm.cli import emit_json
+from ncharm.middlematrix import extract, reconstruct
+
+from _helpers import express_oracle, laplacian_oracle
+
+bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+fractions = st.builds(
+    Fraction, st.integers(-9, 9), st.integers(1, 6)
+)
+
+
+@st.composite
+def polys(draw, with_h=True, max_len=4):
+    g = draw(st.integers(1, 3))
+    letters = st.integers(0 if with_h else 1, g)
+    words = st.lists(letters, max_size=max_len).map(bytes)
+    terms = draw(st.dictionaries(words, fractions, max_size=5))
+    return Poly(g, terms)
+
+
+@st.composite
+def two_h_symmetric(draw):
+    g = draw(st.integers(1, 3))
+    xwords = st.lists(st.integers(1, g), max_size=2).map(bytes)
+    terms = {}
+    for left, mid, right, c in draw(
+        st.lists(st.tuples(xwords, xwords, xwords, fractions), max_size=4)
+    ):
+        w = left + b"\0" + mid + b"\0" + right
+        terms[w] = terms.get(w, 0) + c
+    p = Poly(g, terms)
+    return p + p.transpose()
+
+
+@st.composite
+def dependent_systems(draw):
+    """Rows that are combinations of fewer base rows, and a target that is
+    a combination of the rows or an arbitrary vector."""
+    ncols = draw(st.integers(1, 5))
+    vectors = st.lists(fractions, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(vectors, min_size=1, max_size=3))
+    weights = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    rows = [
+        [sum(w * b[j] for w, b in zip(ws, base)) for j in range(ncols)]
+        for ws in draw(st.lists(weights, min_size=1, max_size=6))
+    ]
+    if draw(st.booleans()):
+        cs = draw(st.lists(fractions, min_size=len(rows), max_size=len(rows)))
+        target = [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(ncols)]
+    else:
+        target = draw(vectors)
+    return rows, target
+
+
+@bounded
+@given(polys())
+def test_parse_inverts_render(p):
+    assert parse(p.render(), p.g) == p
+
+
+@bounded
+@given(polys())
+def test_json_round_trip(p):
+    assert Poly.from_json_obj(json.loads(emit_json(p.to_json_obj()))) == p
+
+
+@bounded
+@given(polys(with_h=False, max_len=5))
+def test_laplacian_matches_oracle(p):
+    assert laplacian(p) == laplacian_oracle(p)
+
+
+@bounded
+@given(two_h_symmetric())
+def test_middle_matrix_round_trip(q):
+    assert reconstruct(extract(q)) == q
+
+
+@bounded
+@given(dependent_systems())
+def test_express_over_rows_matches_oracle(system):
+    rows, target = system
+    assert express_over_rows(rows, target) == express_oracle(rows, target)
