@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Internal helpers: one sparse reduced-echelon elimination, SparseRref, and
-on it the nullspace of the Laplacian coefficient systems, the rank of a
-dense matrix and the expression of a vector over spanning rows; and the
-symmetric congruence diagonalization used by the sum-of-squares
-construction.  Everything here works in Fraction arithmetic and is
-deterministic: pivots are chosen in a fixed scan order, never by
-magnitude, so identical inputs give identical outputs.
+on it the nullspace of the Laplacian coefficient systems and RowSpan, a
+list of rows reduced once to give its rank and to express any number of
+vectors over it; and the symmetric congruence diagonalization used by the
+sum-of-squares construction.  Everything here works in Fraction
+arithmetic and is deterministic: pivots are chosen in a fixed scan order,
+never by magnitude, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from typing import Iterable, Optional, Sequence
 __all__ = [
     "SparseRref",
     "sparse_nullspace",
-    "dense_rank",
-    "express_over_rows",
+    "RowSpan",
     "congruence_diagonalize",
     "is_psd_rational",
 ]
@@ -111,52 +110,51 @@ def sparse_nullspace(rows: Iterable[Row], ncols: int) -> list[list[Fraction]]:
     return vectors
 
 
-def dense_rank(mat: Sequence[Sequence[Fraction]]) -> int:
-    rref = SparseRref()
-    for row in mat:
-        rref.insert({j: v for j, v in enumerate(row) if v})
-    return rref.rank
+class RowSpan:
+    """The span of a list of rows, reduced once to express any number of
+    targets over the rows; rank is the rank of the rows.
 
-
-def express_over_rows(
-    rows: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> Optional[list[Fraction]]:
-    """Coefficients c with sum_i c[i]*rows[i] == target, or None.
-
-    Row reduces [rows | I] with its columns numbered from the right, so
-    that SparseRref's largest-column pivot is the leftmost nonzero column
-    and the result is the unique reduced row echelon form of [rows | I].
-    With linearly dependent rows the returned particular solution is the
-    one that form determines: target[c] times the identity part of the
-    row pivoting at c, summed over the pivot columns c of rows.
+    [rows | I] is reduced with its columns numbered from the right, so that
+    SparseRref's largest-column pivot is the leftmost nonzero column and
+    the result is the unique reduced row echelon form of [rows | I].
     """
-    k = len(rows)
-    if k == 0:
-        return [] if not any(target) else None
-    ncols = len(rows[0])
-    last = ncols + k - 1
-    rref = SparseRref()
-    for i, row in enumerate(rows):
-        flipped = {last - j: v for j, v in enumerate(row) if v}
-        flipped[last - ncols - i] = 1
-        rref.insert(flipped)
-    residual = [Fraction(v) for v in target]
-    combo = [Fraction(0)] * k
-    for lead, prow in rref.pivots.items():
-        c = last - lead
-        # No other row holds column c, so residual[c] is still target[c].
-        if c >= ncols or not residual[c]:
-            continue
-        a = residual[c]
-        for col, v in prow.items():
-            j = last - col
-            if j < ncols:
-                residual[j] -= a * v
-            else:
-                combo[j - ncols] += a * v
-    if any(residual):
-        return None
-    return combo
+
+    def __init__(self, rows: Sequence[Sequence[Fraction]], ncols: int):
+        self.ncols, self.k = ncols, len(rows)
+        self.last = last = ncols + self.k - 1
+        self.rref = SparseRref()
+        for i, row in enumerate(rows):
+            flipped = {last - j: v for j, v in enumerate(row) if v}
+            flipped[last - ncols - i] = 1
+            self.rref.insert(flipped)
+        self.rank = sum(last - lead < ncols for lead in self.rref.pivots)
+
+    def express(self, target: Sequence[Fraction]) -> Optional[list[Fraction]]:
+        """Coefficients c with sum_i c[i]*rows[i] == target, or None.
+
+        With linearly dependent rows the returned particular solution is
+        the one the reduced form determines: target[c] times the identity
+        part of the row pivoting at c, summed over the pivot columns c of
+        rows.  It is linear in target.
+        """
+        last, ncols = self.last, self.ncols
+        residual = [Fraction(v) for v in target]
+        combo = [Fraction(0)] * self.k
+        for lead, prow in self.rref.pivots.items():
+            c = last - lead
+            # No other row holds column c, so residual[c] is still target[c].
+            if c >= ncols or not residual[c]:
+                continue
+            a = residual[c]
+            for col, v in prow.items():
+                j = last - col
+                if j < ncols:
+                    residual[j] -= a * v
+                else:
+                    combo[j - ncols] += a * v
+        if any(residual):
+            return None
+        return combo
 
 
 def congruence_diagonalize(mat: Sequence[Sequence[Fraction]]):

@@ -32,6 +32,10 @@ __all__ = [
     "commutative_laplacian",
 ]
 
+# The most letters the Laplacian may expand to; it refuses larger output
+# before expanding.  (Re gam^6)^2, degree 12, expands to 405,504.
+MAX_LAPLACIAN_LETTERS = 1 << 22
+
 
 def _require_h_free(p: Poly, op: str) -> None:
     if p.contains_h:
@@ -78,6 +82,18 @@ def laplacian(p: Poly) -> Poly:
     as a Fraction accumulation would leave them.
     """
     _require_h_free(p, "laplacian")
+    # Each word w yields one word of len(w) letters per pair of equal
+    # letters, at most C(len(w), 2) pairs; past that cheap bound, count.
+    if sum(len(w) ** 2 * (len(w) - 1) // 2 for w in p._terms) > MAX_LAPLACIAN_LETTERS:
+        letters = sum(
+            len(w) * sum(k * (k - 1) // 2 for k in map(w.count, set(w)))
+            for w in p._terms
+        )
+        if letters > MAX_LAPLACIAN_LETTERS:
+            raise ValueError(
+                f"Laplacian expansion to {letters} letters exceeds "
+                f"MAX_LAPLACIAN_LETTERS = {MAX_LAPLACIAN_LETTERS}"
+            )
     L = math.lcm(*(c.denominator for c in p._terms.values()))
     out: dict[Word, int] = {}
     h = bytes([H_LETTER])

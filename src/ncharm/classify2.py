@@ -14,10 +14,10 @@ The decision procedure follows the structure of the underlying theory:
   * even degree >= 6 reduces to membership in the three-generator family
     c0*(Re gam^d)^2 + c1*Re gam^(2d) + c2*Im gam^(2d) with c0 >= 0.
 
-The Gram machinery (neighbor split at half degree, expression over the
-harmonic basis, congruence diagonalization) works for any number of
-variables; only the closed-form classification above is specific to two
-variables.
+The Gram machinery (neighbor split at half degree, expression over an
+arranged spanning list of half-degree harmonics, congruence
+diagonalization) works for any number of variables; only the closed-form
+classification above is specific to two variables.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ._exactla import (
-    SparseRref,
-    congruence_diagonalize,
-    dense_rank,
-    express_over_rows,
-    sparse_nullspace,
-)
+from ._exactla import RowSpan, SparseRref, congruence_diagonalize, sparse_nullspace
 from .calculus import directional_derivative, laplacian
 from .harmonicspace import (
     HarmonicBasis,
@@ -145,9 +139,9 @@ def neighbor_harmonicity_check(p: Poly, m: int) -> tuple[bool, list[Word]]:
 
 
 class GramObstruction(ValueError):
-    """Raised when the Gram construction is blocked; carries the exact
-    algebraic reason (which itself rules out subharmonicity when it is a
-    failed neighbor harmonicity)."""
+    """Raised when a right neighbor at half degree is not harmonic, which
+    rules out subharmonicity exactly; carries the reason and the leading
+    words of the failing neighbors."""
 
     def __init__(self, reason: str, failing: Sequence = ()):
         super().__init__(reason)
@@ -235,34 +229,25 @@ def _split_symmetric(basis: HarmonicBasis):
     return s, u
 
 
-_OBSTRUCTIONS = {
-    0: ("right neighbors at half degree are not all harmonic",
-        "aggregated left factors are not harmonic; "
-        "the polynomial admits no harmonic Gram form"),
-    1: ("a right neighbor at (d-1)/2 is not harmonic; no sandwich form",
-        "an aggregated left factor is not harmonic; no sandwich form"),
-}
-
-
-def _sandwich_coords(p: Poly, basis: HarmonicBasis, mid: int) -> list:
-    """Exact c[a][i][j] with p = sum c[a][i][j] gamma_a x_(i+1) gamma_j
-    when mid is 1, and p = sum c[a][0][j] gamma_a gamma_j when mid is 0,
-    over the basis gamma of degree m = (deg p - mid) / 2.
+def _sandwich_coords(p: Poly, m: int, mid: int, k: int, express) -> list:
+    """Exact c[a][i][j] with p = sum c[a][i][j] v_a x_(i+1) v_j (mid 1) or
+    p = sum c[a][0][j] v_a v_j (mid 0), where express maps a polynomial to
+    its k coordinates over a list v spanning the degree-m harmonics, or to
+    None outside their span.
 
     p is split once at its leading words of length m + mid.  Each right
-    neighbor p_lead is expressed over the basis as sum_j mu_j gamma_j, and
-    each aggregated left factor sum_t mu_j(t x_i) x^t (sum_t mu_j(t) x^t
-    when mid is 0) over the basis again.  Raises GramObstruction with the
-    leading words whose neighbors are not harmonic, or for a left factor
-    that is not harmonic.
+    neighbor p_lead is expressed as sum_j mu_j v_j, then each aggregated
+    left factor sum_t mu_j(t x_i) x^t (sum_t mu_j(t) x^t when mid is 0).
+    Raises GramObstruction with the leading words whose neighbors are not
+    harmonic.  A harmonic p has harmonic neighbors, and the left factors of
+    a symmetric or harmonic p are combinations of its harmonic left
+    neighbors.
     """
-    neighbor_reason, left_reason = _OBSTRUCTIONS[mid]
-    k = basis.dimension
     slots = p.g if mid else 1
     left: list[list[dict]] = [[{} for _ in range(slots)] for _ in range(k)]
     failing = []
-    for lead, part in right_neighbor(p, basis.d + mid).parts.items():
-        mu = express_in_basis(part, basis)
+    for lead, part in right_neighbor(p, m + mid).parts.items():
+        mu = express(part)
         if mu is None:
             failing.append(lead)
             continue
@@ -271,14 +256,18 @@ def _sandwich_coords(p: Poly, basis: HarmonicBasis, mid: int) -> list:
             if c:
                 left[j][i][t] = c
     if failing:
-        raise GramObstruction(neighbor_reason, sorted(failing))
+        if mid:
+            raise AssertionError("a right neighbor of a harmonic is not harmonic")
+        raise GramObstruction(
+            "right neighbors at half degree are not all harmonic", sorted(failing)
+        )
     coords = [[[Fraction(0)] * k for _ in range(slots)] for _ in range(k)]
     for j, factors in enumerate(left):
         for i, terms in enumerate(factors):
             if terms:
-                mu = express_in_basis(Poly(p.g, terms), basis)
+                mu = express(Poly(p.g, terms))
                 if mu is None:
-                    raise GramObstruction(left_reason)
+                    raise AssertionError("an aggregated left factor is not harmonic")
                 for a, c in enumerate(mu):
                     coords[a][i][j] = c
     return coords
@@ -287,11 +276,12 @@ def _sandwich_coords(p: Poly, basis: HarmonicBasis, mid: int) -> list:
 def gram_from_neighbors(p: Poly) -> GramForm:
     """Express symmetric homogeneous even-degree p over half-degree harmonics.
 
-    The two-sided expansion p = sum_ij psi_ij gamma_i gamma_j over the
-    echelon harmonic basis of half degree is moved to the arranged list.
-    Every right neighbor of p at half degree must be harmonic; a failed
-    neighbor is reported as a GramObstruction, which is an exact proof
-    that p is not subharmonic.
+    The two-sided expansion p = sum_ab psi_ab v_a v_b runs directly over
+    the arranged list v, whose rows are reduced once for every expression;
+    v_a = v_perm(a)^T then gives the Gram matrix, symmetrized.  Every right
+    neighbor of p at half degree must be harmonic; a failed neighbor is
+    reported as a GramObstruction, which is an exact proof that p is not
+    subharmonic.
     """
     if not p.is_symmetric():
         raise ValueError("gram_from_neighbors requires a symmetric polynomial")
@@ -299,31 +289,17 @@ def gram_from_neighbors(p: Poly) -> GramForm:
     if d is None or d % 2 or d < 2:
         raise ValueError("gram_from_neighbors requires homogeneous even degree >= 2")
     basis, vectors, perm = _arranged_harmonics(p.g, d // 2)
-    coords = _sandwich_coords(p, basis, 0)
-    k = basis.dimension
-    psi = [[coords[i][0][j] for j in range(k)] for i in range(k)]
-    # Change coordinates from the echelon basis to the arranged list.
     index = {w: i for i, w in enumerate(basis.word_index)}
-    vec_rows = [_vectorize(v, index) for v in vectors]
-    C = []
-    for el in basis.elements:
-        coeffs = express_over_rows(vec_rows, _vectorize(el, index))
-        if coeffs is None:
-            raise AssertionError("arranged list fails to span the harmonic basis")
-        C.append(coeffs)
+    span = RowSpan([_vectorize(v, index) for v in vectors], len(index))
+    if span.rank != basis.dimension:
+        raise AssertionError("arranged list fails to span the harmonic basis")
     nv = len(vectors)
-    # C^T psi C as two products: k*nv*(k + nv) multiplications, not k^2*nv^2.
-    ct_psi = [
-        [sum((C[i][a] * psi[i][j] for i in range(k)), Fraction(0)) for j in range(k)]
-        for a in range(nv)
-    ]
-    ctpc = [
-        [sum((row[j] * C[j][b] for j in range(k)), Fraction(0)) for b in range(nv)]
-        for row in ct_psi
-    ]
-    psi_raw = [[ctpc[perm[a]][b] for b in range(nv)] for a in range(nv)]
+    coords = _sandwich_coords(
+        p, basis.d, 0, nv, lambda q: span.express(_vectorize(q, index))
+    )
     phi = [
-        [(psi_raw[a][b] + psi_raw[b][a]) / 2 for b in range(nv)] for a in range(nv)
+        [(coords[perm[a]][0][b] + coords[perm[b]][0][a]) / 2 for b in range(nv)]
+        for a in range(nv)
     ]
     form = GramForm(vectors=vectors, phi=tuple(tuple(row) for row in phi))
     if form.reconstruct() != p:
@@ -505,17 +481,18 @@ def degree4_coefficients(p: Poly) -> dict:
 
 @lru_cache(maxsize=None)
 def _membership_generators(d: int):
-    """Generators (Re gam^d)^2, Re gam^(2d), Im gam^(2d) as coefficient
-    rows, with an explicit rank-3 independence check."""
+    """The span of the generators (Re gam^d)^2, Re gam^(2d), Im gam^(2d)
+    as coefficient rows, with an explicit rank-3 independence check, and
+    the index of their words."""
     re_d, _ = gamma_power_parts(d)
     re_2d, im_2d = gamma_power_parts(2 * d)
     gens = [re_d * re_d, re_2d, im_2d]
     words = sorted({w for q in gens for w in q._terms})
     index = {w: i for i, w in enumerate(words)}
-    rows = [_vectorize(q, index) for q in gens]
-    if dense_rank(rows) != 3:
+    span = RowSpan([_vectorize(q, index) for q in gens], len(index))
+    if span.rank != 3:
         raise AssertionError(f"membership generators dependent at degree {2 * d}")
-    return gens, rows, index
+    return span, index
 
 
 def high_even_membership(p: Poly) -> Optional[tuple]:
@@ -530,10 +507,10 @@ def high_even_membership(p: Poly) -> Optional[tuple]:
     if deg is None or deg % 2 or deg // 2 <= 2:
         raise ValueError("degree must be 2d with d > 2")
     d = deg // 2
-    gens, rows, index = _membership_generators(d)
+    span, index = _membership_generators(d)
     if any(w not in index for w in p._terms):
         return None
-    coeffs = express_over_rows(rows, _vectorize(p, index))
+    coeffs = span.express(_vectorize(p, index))
     if coeffs is None:
         return None
     return tuple(coeffs)
@@ -612,6 +589,12 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
     if lap.is_zero():
         return Verdict(kind="Harmonic", reason="Laplacian is exactly zero")
 
+    def refuted(reason: str, **certificate) -> Verdict:
+        # An exact refutation, explained by a sampled witness.
+        witness = sample_matrix_positive(lap, cfg).witness
+        return Verdict(kind="NotSubharmonic", reason=reason, witness=witness,
+                       **certificate)
+
     if d % 2 == 1:
         witness = _odd_witness(lap, cfg)
         return Verdict(
@@ -653,12 +636,8 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
         ]
         broken = [name for name, ok in forced if not ok]
         if broken:
-            witness = sample_matrix_positive(lap, cfg).witness
-            return Verdict(
-                kind="NotSubharmonic",
-                reason="forced degree-4 coefficient relations fail: " + ", ".join(broken),
-                witness=witness,
-            )
+            return refuted("forced degree-4 coefficient relations fail: "
+                           + ", ".join(broken))
         B = Degree4Coeffs(A["A1"], A["A2"], A["A3"], A["A5"], A["A6"], A["A8"])
         region = degree4_inequalities(B)
         if region.kind == "StrictlyInside":
@@ -691,22 +670,11 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
                 region=region,
                 witness=verdict.witness,
             )
-        witness = sample_matrix_positive(lap, cfg).witness
-        return Verdict(
-            kind="NotSubharmonic",
-            reason="degree-4 inequalities violated",
-            region=region,
-            witness=witness,
-        )
+        return refuted("degree-4 inequalities violated", region=region)
 
     membership = high_even_membership(p)
     if membership is None:
-        witness = sample_matrix_positive(lap, cfg).witness
-        return Verdict(
-            kind="NotSubharmonic",
-            reason="outside the three-generator family for even degree >= 6",
-            witness=witness,
-        )
+        return refuted("outside the three-generator family for even degree >= 6")
     c0, c1, c2 = membership
     if c0 > 0:
         return Verdict(
@@ -718,13 +686,10 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
     if c0 == 0:
         return Verdict(kind="Harmonic", membership=membership,
                        reason="member of the even-degree family with c0 = 0")
-    witness = sample_matrix_positive(lap, cfg).witness
-    return Verdict(
-        kind="NotSubharmonic",
-        reason="member of the even-degree family with c0 < 0; "
+    return refuted(
+        "member of the even-degree family with c0 < 0; "
         "the Laplacian is a negative multiple of a sum of squares",
         membership=membership,
-        witness=witness,
     )
 
 
@@ -763,8 +728,7 @@ def odd_sandwich(p: Poly) -> OddSandwich:
     The two-sided expansion that gram_from_neighbors uses, with one middle
     letter: the right-neighbor split at (d-1)/2 + 1, then expression of
     the aggregated left factors over the same basis.  The reconstruction
-    is verified exactly.  Raises ValueError when p is not harmonic and
-    GramObstruction when the decomposition is infeasible.
+    is verified exactly.  Raises ValueError when p is not harmonic.
     """
     if p.is_zero():
         return OddSandwich(g=p.g, d=None, basis=None, phi=())
@@ -776,7 +740,9 @@ def odd_sandwich(p: Poly) -> OddSandwich:
     if not laplacian(p).is_zero():
         raise ValueError("odd_sandwich requires a harmonic polynomial")
     basis = harmonic_basis(p.g, (d - 1) // 2)
-    phi = _sandwich_coords(p, basis, 1)
+    phi = _sandwich_coords(
+        p, basis.d, 1, basis.dimension, lambda q: express_in_basis(q, basis)
+    )
     result = OddSandwich(
         g=p.g,
         d=d,
@@ -784,7 +750,7 @@ def odd_sandwich(p: Poly) -> OddSandwich:
         phi=tuple(tuple(tuple(row) for row in plane) for plane in phi),
     )
     if result.reconstruct() != p:
-        raise GramObstruction("sandwich form failed exact reconstruction")
+        raise AssertionError("sandwich form failed exact reconstruction")
     return result
 
 

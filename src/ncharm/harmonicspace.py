@@ -4,11 +4,11 @@ For g = 2 the space of homogeneous harmonics is generated by the real and
 imaginary parts of (x1 + i*x2)^d, produced here by the real two-term
 recursion (no complex arithmetic).  For arbitrary (g, d) the harmonics are
 computed exactly as the nullspace of the coefficient matrix of the
-Laplacian: columns are the g^d degree-d words in x, rows are the degree-d
-words with exactly two h letters, and the entry at (row, col) is the
-coefficient of the row word in the Laplacian of the column word.  Both
-routes exist for g = 2 and are cross-checked in the test suite rather than
-one replacing the other.
+Laplacian: columns are the g^d degree-d words in x, rows are the words of
+their Laplacians (every degree-d word with exactly two h letters), and the
+entry at (row, col) is the coefficient of the row word in the Laplacian of
+the column word.  Both routes exist for g = 2 and are cross-checked in the
+test suite rather than one replacing the other.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Optional
 
 from ._exactla import sparse_nullspace
-from .ncpoly import H_LETTER, Poly, Word, check_num_vars, word_key
+from .ncpoly import Poly, Word, check_num_vars, word_key
 from .calculus import laplacian
 
 __all__ = [
@@ -33,6 +33,11 @@ __all__ = [
     "express_in_basis",
     "check_independence_property",
 ]
+
+# The most letters the g^d column words of one Laplacian system may hold;
+# larger systems are refused before their words are enumerated.  The
+# largest bases in use, (2, 12) and (3, 8), hold 49,152 and 52,488.
+MAX_SYSTEM_LETTERS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -63,8 +68,8 @@ def enumerate_words(g: int, d: int) -> list[Word]:
 class LaplacianSystem:
     """Coefficient matrix of the Laplacian on degree-d words.
 
-    rows[i] maps column index -> Fraction and is aligned with row_words[i];
-    zero rows are kept so the indexing covers every two-h word.
+    rows[i] maps column index -> Fraction and is aligned with row_words[i],
+    the sorted words of the column Laplacians, so no row is zero.
     """
 
     g: int
@@ -80,33 +85,24 @@ class LaplacianSystem:
         ]
 
 
-def _two_h_words(g: int, d: int) -> list[Word]:
-    """Degree-d words containing exactly two h letters, canonical order."""
-    if d < 2:
-        return []
-    out = []
-    for pa, pb in combinations(range(d), 2):
-        for fill in product(range(1, g + 1), repeat=d - 2):
-            letters = list(fill[: pa]) + [H_LETTER] + list(
-                fill[pa : pb - 1]
-            ) + [H_LETTER] + list(fill[pb - 1 :])
-            out.append(bytes(letters))
-    out.sort(key=word_key)
-    return out
-
-
 def laplacian_coefficient_matrix(g: int, d: int) -> LaplacianSystem:
     """Exact coefficient matrix whose nullspace is the degree-d harmonics."""
     if g < 1 or d < 1:
         raise ValueError("need g >= 1 and d >= 1")
     check_num_vars(g)
+    # g^d is computed only for g = 1 or d < 64; past that it is far too large.
+    if g > 1 and d >= 64 or g**d * d > MAX_SYSTEM_LETTERS:
+        raise ValueError(
+            f"{g}^{d} column words of {d} letters exceed "
+            f"MAX_SYSTEM_LETTERS = {MAX_SYSTEM_LETTERS}"
+        )
     col_words = enumerate_words(g, d)
-    row_words = _two_h_words(g, d)
+    laps = [laplacian(Poly.monomial(g, w))._terms for w in col_words]
+    row_words = sorted({rw for lap in laps for rw in lap}, key=word_key)
     row_index = {w: i for i, w in enumerate(row_words)}
     rows: list[dict] = [{} for _ in row_words]
-    for j, w in enumerate(col_words):
-        lap = laplacian(Poly.monomial(g, w))
-        for rw, c in lap._terms.items():
+    for j, lap in enumerate(laps):
+        for rw, c in lap.items():
             rows[row_index[rw]][j] = c
     return LaplacianSystem(
         g=g,
@@ -143,7 +139,7 @@ def harmonic_basis(g: int, d: int) -> HarmonicBasis:
     """Exact basis of homogeneous degree-d harmonics in g variables."""
     system = laplacian_coefficient_matrix(g, d)
     ncols = len(system.col_words)
-    vectors = sparse_nullspace((r for r in system.rows if r), ncols)
+    vectors = sparse_nullspace(system.rows, ncols)
     elements = []
     for vec in vectors:
         p = Poly(g, {w: c for w, c in zip(system.col_words, vec) if c})

@@ -140,6 +140,17 @@ class TestLaplacian:
             (word(0, 3, 0), Fraction(4, 5)),
         ]
 
+    def test_expansion_cap(self):
+        # x1^k expands to C(k, 2) words of k letters: 4,162,109 letters at
+        # k = 203 and 4,224,024 at k = 204, around 2^22.
+        assert len(laplacian(parse("x1^203", 1))) == 203 * 202 // 2
+        with pytest.raises(ValueError, match="4224024 letters exceeds MAX_LAPLACIAN_LETTERS"):
+            laplacian(parse("x1^204", 1))
+        # Six letters repeated 40 times: C(240, 2) pairs of positions would
+        # pass the cap, but only the 6 * C(40, 2) equal-letter pairs count.
+        w = bytes([1, 2, 3, 4, 5, 6]) * 40
+        assert len(laplacian(Poly.monomial(6, w))) == 6 * 40 * 39 // 2
+
     def test_two_h_per_word(self):
         rnd = random.Random(25)
         for _ in range(40):

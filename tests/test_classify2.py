@@ -17,6 +17,7 @@ from ncharm import (
     evaluate,
     gamma_power_parts,
     gram_from_neighbors,
+    harmonic_basis,
     high_even_membership,
     laplacian,
     laplacian_sos_identity_check,
@@ -34,6 +35,7 @@ from ncharm import (
 from ncharm._exactla import is_psd_rational
 
 from _helpers import (
+    gram_oracle,
     poly_matrix,
     random_symmetric_homogeneous,
     rank_oracle,
@@ -157,6 +159,39 @@ class TestGramForm:
     def test_obstruction_for_nonsubharmonic(self):
         with pytest.raises(GramObstruction):
             gram_from_neighbors(parse("x1^4", 2))
+
+    @pytest.mark.parametrize("g, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)])
+    def test_matches_gram_oracle(self, g, m):
+        # Gram forms of v^T w + w^T v combinations; every third input gets a
+        # symmetric random part, which mostly breaks harmonicity of the
+        # right neighbors.  At (3, 2) the 11 arranged vectors are dependent.
+        rnd = random.Random(1000 * g + m)
+        gens = harmonic_basis(g, m).elements
+        obstructed = 0
+        for trial in range(9):
+            p = Poly.zero(g)
+            for _ in range(3):
+                q = rnd.choice(gens).transpose() * rnd.choice(gens)
+                c = Fraction(rnd.randint(-3, 3), rnd.randint(1, 2))
+                p = p + (q + q.transpose()).scale(c)
+            if trial % 3 == 2:
+                p = p + random_symmetric_homogeneous(rnd, g, 2 * m, 2)
+            if p.is_zero():
+                continue
+            vectors, phi, failing = gram_oracle(p)
+            if failing:
+                obstructed += 1
+                with pytest.raises(GramObstruction) as exc:
+                    gram_from_neighbors(p)
+                assert exc.value.reason == (
+                    "right neighbors at half degree are not all harmonic")
+                assert exc.value.failing == failing
+                continue
+            form = gram_from_neighbors(p)
+            assert form.vectors == vectors
+            assert [list(row) for row in form.phi] == phi
+        # Every degree-1 polynomial is harmonic, so only m >= 2 can fail.
+        assert (obstructed > 0) == (m >= 2)
 
     def test_three_variable_path(self):
         # The arranged-list machinery is generic in the variable count.

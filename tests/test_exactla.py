@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 
 from ncharm._exactla import (
+    RowSpan,
     congruence_diagonalize,
-    dense_rank,
-    express_over_rows,
     is_psd_rational,
     sparse_nullspace,
 )
@@ -87,7 +86,7 @@ class TestNullspace:
             assert rref_oracle(basis)[0] == basis
 
     def test_rref_shape(self):
-        assert dense_rank([[Fraction(0)] * 3]) == 0
+        assert RowSpan([[Fraction(0)] * 3], 3).rank == 0
 
 
 class TestExpressOverRows:
@@ -106,7 +105,7 @@ class TestExpressOverRows:
                 sum(coeffs[i] * rows[i][j] for i in range(k))
                 for j in range(ncols)
             ]
-            got = express_over_rows(rows, target)
+            got = RowSpan(rows, ncols).express(target)
             assert got is not None
             rebuilt = [
                 sum(got[i] * rows[i][j] for i in range(k)) for j in range(ncols)
@@ -115,24 +114,26 @@ class TestExpressOverRows:
 
     def test_rejects_non_members(self):
         rows = [[Fraction(1), Fraction(0)]]
-        assert express_over_rows(rows, [Fraction(0), Fraction(1)]) is None
-        assert express_over_rows([], [Fraction(1)]) is None
-        assert express_over_rows([], [Fraction(0)]) == []
+        assert RowSpan(rows, 2).express([Fraction(0), Fraction(1)]) is None
+        assert RowSpan([], 1).express([Fraction(1)]) is None
+        assert RowSpan([], 1).express([Fraction(0)]) == []
 
     def test_particular_solution_on_dependent_rows(self):
         # Values pinned from the dense Gauss-Jordan solver this replaced.
         F = Fraction
-        rows = [[F(1), F(2), F(0)], [F(2), F(4), F(0)],
-                [F(0), F(1), F(1)], [F(1), F(3), F(1)]]
-        assert express_over_rows(rows, [F(3), F(7), F(1)]) == [0, 0, -2, 3]
-        assert express_over_rows(rows, [F(2), F(4), F(0)]) == [0, 0, -2, 2]
-        assert express_over_rows(rows, [F(1), F(3), F(1)]) == [0, 0, 0, 1]
-        assert express_over_rows(rows, [F(0)] * 3) == [0, 0, 0, 0]
-        rows = [[F(1, 2), F(-1), F(3)], [F(-1), F(2), F(-6)],
-                [F(0), F(0), F(5)], [F(1), F(0), F(2)]]
-        assert express_over_rows(rows, [F(1), F(1), F(1)]) == [
+        # One reduction serves every target.
+        span = RowSpan([[F(1), F(2), F(0)], [F(2), F(4), F(0)],
+                        [F(0), F(1), F(1)], [F(1), F(3), F(1)]], 3)
+        assert span.rank == 2
+        assert span.express([F(3), F(7), F(1)]) == [0, 0, -2, 3]
+        assert span.express([F(2), F(4), F(0)]) == [0, 0, -2, 2]
+        assert span.express([F(1), F(3), F(1)]) == [0, 0, 0, 1]
+        assert span.express([F(0)] * 3) == [0, 0, 0, 0]
+        span = RowSpan([[F(1, 2), F(-1), F(3)], [F(-1), F(2), F(-6)],
+                        [F(0), F(0), F(5)], [F(1), F(0), F(2)]], 3)
+        assert span.express([F(1), F(1), F(1)]) == [
             0, F(1, 2), F(1, 5), F(3, 2)]
-        assert express_over_rows(rows, [F(3, 2), F(-1), F(10)]) == [
+        assert span.express([F(3, 2), F(-1), F(10)]) == [
             0, F(-1, 2), 1, 1]
 
     def test_arranged_list_coordinates_match_oracle(self):
@@ -145,7 +146,8 @@ class TestExpressOverRows:
         basis, vectors, _ = _arranged_harmonics(3, 2)
         index = {w: i for i, w in enumerate(basis.word_index)}
         rows = [_vectorize(v, index) for v in vectors]
-        assert (len(rows), rank_oracle(rows)) == (11, 8)
+        span = RowSpan(rows, len(index))
+        assert (len(rows), rank_oracle(rows), span.rank) == (11, 8, 8)
         for el in basis.elements:
             target = _vectorize(el, index)
-            assert express_over_rows(rows, target) == express_oracle(rows, target)
+            assert span.express(target) == express_oracle(rows, target)

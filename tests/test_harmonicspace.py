@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from ncharm import (
     parse,
     word,
 )
+from ncharm.ncpoly import word_key
 
 from _helpers import laplacian_oracle, nullity_oracle, spans_equal
 
@@ -89,6 +91,21 @@ class TestCoefficientMatrix:
         system = laplacian_coefficient_matrix(2, 2)
         assert len(system.col_words) == 4
         assert nullity_oracle(system.dense(), 4) == 3
+
+    def test_rows_are_every_two_h_word(self):
+        for g, d in ((1, 2), (1, 5), (2, 2), (2, 3), (2, 6), (3, 2), (3, 4), (4, 3)):
+            system = laplacian_coefficient_matrix(g, d)
+            two_h = [bytes(w) for w in product(range(g + 1), repeat=d) if w.count(0) == 2]
+            assert list(system.row_words) == sorted(two_h, key=word_key)
+            assert all(system.rows)
+
+    def test_size_cap(self):
+        # (4, 6) holds 4096 words of 6 letters; (2, 13) holds 106,496
+        # letters and (1, 70000) 70,000.  Past the cap no word is listed.
+        assert len(laplacian_coefficient_matrix(4, 6).col_words) == 4096
+        for g, d in ((2, 13), (3, 9), (2, 40), (2, 10**9), (1, 70000)):
+            with pytest.raises(ValueError, match=rf"{g}\^{d} column words .* MAX_SYSTEM_LETTERS"):
+                laplacian_coefficient_matrix(g, d)
 
 
 class TestHarmonicBasis:

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncharm import Poly, laplacian, parse
-from ncharm._exactla import express_over_rows
+from ncharm._exactla import RowSpan
 from ncharm.cli import emit_json
 from ncharm.middlematrix import extract, reconstruct
 
-from _helpers import express_oracle, laplacian_oracle
+from _helpers import express_oracle, laplacian_oracle, rank_oracle
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -95,4 +95,6 @@ def test_middle_matrix_round_trip(q):
 @given(dependent_systems())
 def test_express_over_rows_matches_oracle(system):
     rows, target = system
-    assert express_over_rows(rows, target) == express_oracle(rows, target)
+    span = RowSpan(rows, len(target))
+    assert span.rank == rank_oracle(rows)
+    assert span.express(target) == express_oracle(rows, target)
