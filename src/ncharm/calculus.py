@@ -33,8 +33,10 @@ __all__ = [
 ]
 
 # The most letters the Laplacian may expand to; it refuses larger output
-# before expanding.  (Re gam^6)^2, degree 12, expands to 405,504.
-MAX_LAPLACIAN_LETTERS = 1 << 22
+# before expanding.  Expansion runs at about 100 ns a letter: Re gam^16
+# (31,457,280 letters) takes 1.9 s, and (Re gam^8)^2 (15,728,640 letters,
+# 524,288 words out) 1.6 s and 110 MB, so one at the cap takes seconds.
+MAX_LAPLACIAN_LETTERS = 1 << 26
 
 
 def _require_h_free(p: Poly, op: str) -> None:
@@ -82,9 +84,11 @@ def laplacian(p: Poly) -> Poly:
     as a Fraction accumulation would leave them.
     """
     _require_h_free(p, "laplacian")
-    # Each word w yields one word of len(w) letters per pair of equal
-    # letters, at most C(len(w), 2) pairs; past that cheap bound, count.
-    if sum(len(w) ** 2 * (len(w) - 1) // 2 for w in p._terms) > MAX_LAPLACIAN_LETTERS:
+    # Each word yields one word of its length per pair of equal letters, so
+    # with n the longest length at most C(n, 2) words of n letters; past
+    # that bound, count.
+    n = max(map(len, p._terms), default=0)
+    if len(p._terms) * n * n * (n - 1) // 2 > MAX_LAPLACIAN_LETTERS:
         letters = sum(
             len(w) * sum(k * (k - 1) // 2 for k in map(w.count, set(w)))
             for w in p._terms

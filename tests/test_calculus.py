@@ -14,6 +14,8 @@ from ncharm import (
     word,
 )
 
+from ncharm import calculus
+
 from _helpers import laplacian_fraction_reference, laplacian_oracle, random_poly
 
 
@@ -141,8 +143,13 @@ class TestLaplacian:
         ]
 
     def test_expansion_cap(self):
-        # x1^k expands to C(k, 2) words of k letters: 4,162,109 letters at
-        # k = 203 and 4,224,024 at k = 204, around 2^22.
+        # x1^k expands to C(k, 2) words of k letters: 66,977,792 letters at
+        # k = 512, under 2^26, and 67,371,264 at k = 513, over it.
+        with pytest.raises(ValueError, match="67371264 letters exceeds MAX_LAPLACIAN_LETTERS"):
+            laplacian(parse("x1^513", 1))
+
+    def test_expansion_cap_is_exact(self, monkeypatch):
+        monkeypatch.setattr(calculus, "MAX_LAPLACIAN_LETTERS", 203 * 203 * 202 // 2)
         assert len(laplacian(parse("x1^203", 1))) == 203 * 202 // 2
         with pytest.raises(ValueError, match="4224024 letters exceeds MAX_LAPLACIAN_LETTERS"):
             laplacian(parse("x1^204", 1))

@@ -346,6 +346,15 @@ class TestClassify:
             assert classify(re + im, CFG).kind == "Harmonic"
             assert classify(re - im, CFG).kind == "Harmonic"
 
+    def test_high_degree_family(self):
+        # Degrees 14 to 16 expand Laplacians of 5.2 to 31 million letters.
+        for d in (14, 15, 16):
+            verdict = classify(gamma_power_parts(d)[d % 2], CFG)
+            assert (verdict.kind, verdict.reason) == ("Harmonic", "Laplacian is exactly zero")
+        verdict = classify(gamma_power_parts(8)[0] ** 2, CFG)
+        assert verdict.kind == "PurelySubharmonicCertified"
+        assert verdict.membership == (1, 0, 0)
+
     def test_high_even_example(self):
         re3 = gamma_power_parts(3)[0]
         im6 = gamma_power_parts(6)[1]
@@ -536,6 +545,10 @@ class TestOddSandwich:
                 s = odd_sandwich(p)
                 assert s.reconstruct() == p
                 assert odd_sandwich_vanishing_check(s)
+
+    def test_degree_fifteen(self):
+        re15 = gamma_power_parts(15)[0]
+        assert odd_sandwich(re15).reconstruct() == re15
 
     def test_random_harmonic_combination(self):
         rnd = random.Random(57)

@@ -341,8 +341,8 @@ class TestInputDomain:
              "num_vars must be at most 254"),
             (["laplacian", "*".join(["(x1+x2)"] * 30)],
              "exceeds MAX_PARSE_LETTERS = 65536"),
-            (["laplacian", "x1^204"], "exceeds MAX_LAPLACIAN_LETTERS = 4194304"),
-            (["harmonic-basis", "--degree", "40"], "exceed MAX_SYSTEM_LETTERS = 65536"),
+            (["laplacian", "x1^513"], "exceeds MAX_LAPLACIAN_LETTERS = 67108864"),
+            (["harmonic-basis", "--degree", "40"], "exceed MAX_SYSTEM_LETTERS = 262144"),
         ],
     )
     def test_rejected_with_exit_two(self, argv, message):

@@ -100,10 +100,11 @@ class TestCoefficientMatrix:
             assert all(system.rows)
 
     def test_size_cap(self):
-        # (4, 6) holds 4096 words of 6 letters; (2, 13) holds 106,496
-        # letters and (1, 70000) 70,000.  Past the cap no word is listed.
-        assert len(laplacian_coefficient_matrix(4, 6).col_words) == 4096
-        for g, d in ((2, 13), (3, 9), (2, 40), (2, 10**9), (1, 70000)):
+        # (2, 13) holds 106,496 letters, under 2^18; (2, 15), (3, 10) and
+        # (4, 8) hold 491,520, 590,490 and 524,288.  Past the cap no word
+        # is listed.
+        assert len(laplacian_coefficient_matrix(2, 13).col_words) == 8192
+        for g, d in ((2, 15), (3, 10), (4, 8), (2, 40), (2, 10**9), (1, 300000)):
             with pytest.raises(ValueError, match=rf"{g}\^{d} column words .* MAX_SYSTEM_LETTERS"):
                 laplacian_coefficient_matrix(g, d)
 
