@@ -9,8 +9,8 @@ The decision procedure follows the structure of the underlying theory:
   * degree 2 reduces to the trace A1 + A2 of the quadratic part;
   * degree 4 reduces to membership in a six-parameter family (four forced
     coefficient relations) plus two exact rational inequalities on the
-    aggregates G, Hh, Jj, K; boundary cases fall back to an exact PSD Gram
-    certificate;
+    aggregates G, Hh, Jj, K; a boundary member is certified by the exact
+    squares of its Laplacian, read off the unique Gram matrix of Lap(p);
   * even degree >= 6 reduces to membership in the three-generator family
     c0*(Re gam^d)^2 + c1*Re gam^(2d) + c2*Im gam^(2d) with c0 >= 0.
 
@@ -36,7 +36,7 @@ from .harmonicspace import (
     gamma_power_parts,
     harmonic_basis,
 )
-from .ncpoly import EvalPlan, Poly, Word, word
+from .ncpoly import H_LETTER, EvalPlan, Poly, Word, render_word, word
 
 if TYPE_CHECKING:
     from .positivity import SampleConfig, Witness
@@ -174,10 +174,10 @@ class GramForm:
 def _arranged_harmonics(g: int, m: int):
     """The s/u/v arranged spanning list of degree-m harmonics.
 
-    For two variables: s = x1^2 - x2^2, u = x1*x2, v = x2*x1 at m = 2, and
-    s = (Re gam^m, Im gam^m) with no u/v otherwise.  For general g the
-    symmetric subspace is extracted exactly and completed by non-symmetric
-    basis elements paired with their transposes.
+    The symmetric subspace s is extracted exactly and completed by
+    non-symmetric basis elements u paired with their transposes v.  For
+    g = 2 that is s = (Re gam^m, Im gam^m), except that m = 2 keeps
+    s = x1^2 - x2^2, u = x1*x2, v = x2*x1.
     """
     basis = harmonic_basis(g, m)
     if g == 2 and m == 2:
@@ -185,10 +185,6 @@ def _arranged_harmonics(g: int, m: int):
         x2 = Poly.variable(2, 2)
         s = [x1 * x1 - x2 * x2]
         u = [x1 * x2]
-    elif g == 2:
-        re, im = gamma_power_parts(m)
-        s = [re, im]
-        u = []
     else:
         s, u = _split_symmetric(basis)
     vectors = tuple(s + u + [q.transpose() for q in u])
@@ -201,7 +197,7 @@ def _arranged_harmonics(g: int, m: int):
 
 def _split_symmetric(basis: HarmonicBasis):
     """Split a transpose-closed space into symmetric combos and a
-    non-symmetric completion (general-g path)."""
+    non-symmetric completion."""
     index = {w: i for i, w in enumerate(basis.word_index)}
     # c is a symmetric combination iff sum_i c_i (B_i - B_i^T) = 0: one
     # equation per word, over the k combination coefficients.
@@ -330,29 +326,55 @@ class SosDecomposition:
         return acc
 
 
+def _squares(vectors: Sequence[Poly], gram, target: Poly) -> SosDecomposition:
+    """target = sum_ab gram[a][b] vectors[a]^T vectors[b] as the squares
+    R_i = sum_a N[a][i] vectors[a] with weights D[i], from one congruence
+    gram = N D N^T, checked by exact reconstruction."""
+    N, D = congruence_diagonalize([list(row) for row in gram])
+    terms = []
+    for i, weight in enumerate(D):
+        r = Poly.zero(target.g)
+        for a, v in enumerate(vectors):
+            if N[a][i]:
+                r = r + v.scale(N[a][i])
+        if weight and not r.is_zero():
+            terms.append((weight, r))
+    dec = SosDecomposition(g=target.g, terms=tuple(terms))
+    if dec.reconstruct() != target:
+        raise AssertionError("sos decomposition failed exact reconstruction")
+    return dec
+
+
 def sos_decompose(p: Poly) -> SosDecomposition:
     """Congruence-diagonalize the Gram form of p into squares of harmonics."""
     form = gram_from_neighbors(p)
-    N, D = congruence_diagonalize([list(row) for row in form.phi])
-    terms = []
-    nv = len(form.vectors)
-    for i in range(nv):
-        if not D[i]:
-            continue
-        r = Poly.zero(p.g)
-        for a in range(nv):
-            if N[a][i]:
-                r = r + form.vectors[a].scale(N[a][i])
-        if r.is_zero():
-            continue
-        terms.append((D[i], r))
-    dec = SosDecomposition(g=p.g, terms=tuple(terms))
-    if dec.reconstruct() != p:
-        raise AssertionError("sos decomposition failed exact reconstruction")
-    for _, r in terms:
+    dec = _squares(form.vectors, form.phi, p)
+    for _, r in dec.terms:
         if not laplacian(r).is_zero():
             raise AssertionError("sos factor is not harmonic")
     return dec
+
+
+def _laplacian_squares(p: Poly) -> SosDecomposition:
+    """Lap(p), for symmetric p, as weighted squares of one-h half words.
+
+    A word splits at its midpoint in one way only, so if every half holds
+    one h, Lap(p) = sum G[u][v] u^T v has a unique Gram matrix G.  Lap(p)
+    is then matrix positive iff G is PSD, that is iff every weight is
+    positive (Helton, Ann. of Math. 156, 2002).  A word that does not split
+    so raises ValueError.
+    """
+    lap = laplacian(p)
+    halves = sorted({w[len(w) // 2 :] for w in lap._terms})
+    index = {u: i for i, u in enumerate(halves)}
+    gram = [[Fraction(0)] * len(halves) for _ in halves]
+    for w, c in lap._terms.items():
+        # Every word of Lap(p) holds two h letters.
+        half = len(w) // 2
+        if len(w) % 2 or w[:half].count(H_LETTER) != 1:
+            raise ValueError(f"Laplacian word {render_word(w)} has an h-free half")
+        gram[index[w[:half][::-1]]][index[w[half:]]] = c
+    return _squares([Poly.monomial(p.g, u) for u in halves], gram, lap)
 
 
 def laplacian_sos_identity_check(dec: SosDecomposition) -> bool:
@@ -523,6 +545,10 @@ def high_even_membership(p: Poly) -> Optional[tuple]:
 
 @dataclass(frozen=True, eq=False)
 class Verdict:
+    """A classification: Harmonic, PurelySubharmonicCertified,
+    SubharmonicBoundaryCertified (sos holds the squares of Lap(p), not of
+    p) or NotSubharmonic."""
+
     kind: str
     reason: str = ""
     membership: Optional[tuple] = None
@@ -565,9 +591,10 @@ def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
 def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
     """Full classification of a homogeneous polynomial in two variables.
 
-    Certified verdicts carry machine-checkable certificates (an inequality
-    record, membership coefficients, or an exact PSD Gram form); refutations
-    carry a numeric witness or an exact algebraic obstruction.
+    Certified verdicts carry machine-checkable certificates: an inequality
+    record, membership coefficients, or, on the degree-4 boundary, exact
+    squares summing to Lap(p).  Refutations carry a numeric witness or an
+    exact algebraic obstruction.
     """
     import numpy as np
 
@@ -611,8 +638,6 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
                 kind="PurelySubharmonicCertified",
                 reason=f"Laplacian equals ({2 * trace})*h^2",
             )
-        if trace == 0:
-            return Verdict(kind="Harmonic", reason="Laplacian is exactly zero")
         witness = Witness(
             n=1,
             X=(np.zeros((1, 1)), np.zeros((1, 1))),
@@ -647,45 +672,29 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
                 region=region,
             )
         if region.kind == "Boundary":
-            # The g = 2 arranged list is independent, so every nonzero pivot
-            # of the congruence is a term: the Gram form is PSD iff every
-            # term has d > 0.
-            try:
-                dec = sos_decompose(p)
-            except GramObstruction as obstruction:
-                reason = obstruction.reason
-            else:
-                if all(d > 0 for d, _ in dec.terms):
-                    return Verdict(
-                        kind="SubharmonicBoundaryCertified",
-                        reason="exact PSD Gram certificate on the inequality boundary",
-                        region=region,
-                        sos=dec,
-                    )
-                reason = "boundary point without a PSD Gram certificate"
-            verdict = sample_matrix_positive(lap, cfg)
+            # The boundary is the closure of the strict region, so Lap(p) is
+            # matrix positive and its unique Gram matrix is PSD.
+            dec = _laplacian_squares(p)
+            if any(weight <= 0 for weight, _ in dec.terms):
+                raise AssertionError("a boundary Laplacian has a negative square")
             return Verdict(
-                kind="NotSubharmonic" if verdict.witness else "Unknown",
-                reason=reason,
+                kind="SubharmonicBoundaryCertified",
+                reason="exact PSD Gram certificate on the inequality boundary",
                 region=region,
-                witness=verdict.witness,
+                sos=dec,
             )
         return refuted("degree-4 inequalities violated", region=region)
 
     membership = high_even_membership(p)
     if membership is None:
         return refuted("outside the three-generator family for even degree >= 6")
-    c0, c1, c2 = membership
-    if c0 > 0:
+    if membership[0] > 0:
         return Verdict(
             kind="PurelySubharmonicCertified",
             reason="member of the even-degree family with c0 > 0; "
             "the Laplacian is an exact sum of squares",
             membership=membership,
         )
-    if c0 == 0:
-        return Verdict(kind="Harmonic", membership=membership,
-                       reason="member of the even-degree family with c0 = 0")
     return refuted(
         "member of the even-degree family with c0 < 0; "
         "the Laplacian is a negative multiple of a sum of squares",

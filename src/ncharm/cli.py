@@ -118,6 +118,10 @@ def _witness_obj(w: positivity.Witness) -> dict:
     }
 
 
+def _sos_obj(dec: classify2.SosDecomposition) -> dict:
+    return {"terms": [{"coeff": d, "poly": r.to_json_obj()} for d, r in dec.terms]}
+
+
 def _verdict_obj(v: classify2.Verdict) -> dict:
     obj: dict = {"kind": v.kind, "reason": v.reason}
     if v.membership is not None:
@@ -132,11 +136,7 @@ def _verdict_obj(v: classify2.Verdict) -> dict:
             "K": v.region.K,
         }
     if v.sos is not None:
-        obj["sos"] = {
-            "terms": [
-                {"coeff": d, "poly": r.to_json_obj()} for d, r in v.sos.terms
-            ]
-        }
+        obj["sos"] = _sos_obj(v.sos)
     if v.witness is not None:
         obj["witness"] = _witness_obj(v.witness)
     return obj
@@ -254,24 +254,19 @@ def _sample_config(args) -> positivity.SampleConfig:
 # ---------------------------------------------------------------------------
 
 
+def _print_poly(args, result: Poly, out) -> int:
+    print(emit_json(result.to_json_obj()) if args.json else result.render(), file=out)
+    return 0
+
+
 def _cmd_derive(args, stdin, out) -> int:
     p = _read_poly(args, stdin)
-    result = directional_derivative(p, args.var)
-    if args.json:
-        print(emit_json(result.to_json_obj()), file=out)
-    else:
-        print(result.render(), file=out)
-    return 0
+    return _print_poly(args, directional_derivative(p, args.var), out)
 
 
 def _cmd_laplacian(args, stdin, out) -> int:
     p = _read_poly(args, stdin)
-    result = laplacian(p)
-    if args.json:
-        print(emit_json(result.to_json_obj()), file=out)
-    else:
-        print(result.render(), file=out)
-    return 0
+    return _print_poly(args, laplacian(p), out)
 
 
 def _cmd_collapse_check(args, stdin, out) -> int:
@@ -369,12 +364,7 @@ def _cmd_sos(args, stdin, out) -> int:
     p = _read_poly(args, stdin)
     dec = classify2.sos_decompose(p)
     if args.json:
-        obj = {
-            "terms": [
-                {"coeff": d, "poly": r.to_json_obj()} for d, r in dec.terms
-            ]
-        }
-        print(emit_json(obj), file=out)
+        print(emit_json(_sos_obj(dec)), file=out)
     else:
         for d, r in dec.terms:
             print(f"{d}: {r.render()}", file=out)

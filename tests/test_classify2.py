@@ -32,7 +32,9 @@ from ncharm import (
     sos_decompose,
     word,
 )
+from ncharm import positivity
 from ncharm._exactla import is_psd_rational
+from ncharm.classify2 import _laplacian_squares
 
 from _helpers import (
     gram_oracle,
@@ -404,11 +406,15 @@ class TestClassify:
         assert v.kind == "NotSubharmonic"
         assert v.witness is not None
 
-    def test_boundary_certified_iff_gram_psd(self):
-        # The boundary branch decides from the signs of its SOS terms; the
-        # exact PSD test of the Gram form must agree on every member.
+    def test_boundary_always_certified(self, monkeypatch):
+        # Every boundary member is certified by exact squares of its
+        # Laplacian, without sampling, including members whose harmonic
+        # Gram form of p is not PSD.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the boundary branch sampled")
+
+        monkeypatch.setattr(positivity, "sample_matrix_positive", no_sampling)
         rnd = random.Random(58)
-        cfg = SampleConfig(seed=1, sizes=(1, 2), samples_per_size=2)
         members = [degree4_family(Degree4Coeffs(1, 0, 0, 0, 0, 0))]
         while len(members) < 8:
             Hh, Jj, K = (Fraction(rnd.randint(1, 4)), Fraction(rnd.randint(-2, 2)),
@@ -418,15 +424,41 @@ class TestClassify:
             B = Degree4Coeffs(b1, Jj + b3, b3, K - b1, G - b1, Hh - b1)
             assert degree4_inequalities(B).kind == "Boundary"
             members.append(degree4_family(B))
-        kinds = set()
+        harmonic_gram_not_psd = 0
         for p in members:
-            v = classify(p, cfg)
-            psd = is_psd_rational([list(r) for r in gram_from_neighbors(p).phi])
-            assert (v.kind == "SubharmonicBoundaryCertified") == psd
-            if not psd:
-                assert v.reason == "boundary point without a PSD Gram certificate"
-            kinds.add(v.kind)
-        assert "SubharmonicBoundaryCertified" in kinds and len(kinds) > 1
+            v = classify(p, CFG)
+            assert v.kind == "SubharmonicBoundaryCertified"
+            assert v.reason == "exact PSD Gram certificate on the inequality boundary"
+            assert v.sos.reconstruct() == laplacian(p)
+            assert all(weight > 0 for weight, _ in v.sos.terms)
+            assert v.witness is None
+            phi = gram_from_neighbors(p).phi
+            harmonic_gram_not_psd += not is_psd_rational([list(r) for r in phi])
+        assert harmonic_gram_not_psd > 0
+
+    def test_laplacian_gram_agrees_with_inequalities(self):
+        # Violated exactly when the unique Gram matrix of Lap(p) has a
+        # negative congruence pivot, on random and on boundary members.
+        rnd = random.Random(59)
+        rational = lambda: Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))  # noqa: E731
+        cases = [Degree4Coeffs(*(rational() for _ in range(6))) for _ in range(120)]
+        for _ in range(20):
+            Hh, Jj, K, b1, b2 = (rational() for _ in range(5))
+            Hh = abs(Hh) or Fraction(1)
+            G = (Jj * Jj + K * K) / Hh
+            cases.append(Degree4Coeffs(b1, b2, b2 - Jj, K - b1, G - b1, Hh - b1))
+        kinds = set()
+        for B in cases:
+            kind = degree4_inequalities(B).kind
+            dec = _laplacian_squares(degree4_family(B))
+            assert dec.reconstruct() == laplacian(degree4_family(B))
+            assert (kind == "Violated") == any(w < 0 for w, _ in dec.terms)
+            kinds.add(kind)
+        assert kinds == {"StrictlyInside", "Boundary", "Violated"}
+
+    def test_laplacian_squares_need_one_h_halves(self):
+        with pytest.raises(ValueError, match="h-free half"):
+            _laplacian_squares(parse("x1^4", 2))
 
     def test_degree_four_nonmember(self):
         v = classify(parse("x1^4", 2), CFG)

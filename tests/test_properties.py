@@ -7,10 +7,19 @@ and gives the same cases on every run.
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncharm import Poly, laplacian, parse
+from ncharm import (
+    Degree4Coeffs,
+    Poly,
+    SampleConfig,
+    classify,
+    degree4_family,
+    degree4_inequalities,
+    laplacian,
+    parse,
+)
 from ncharm._exactla import RowSpan
 from ncharm.cli import emit_json
 from ncharm.middlematrix import extract, reconstruct
@@ -98,3 +107,31 @@ def test_express_over_rows_matches_oracle(system):
     span = RowSpan(rows, len(target))
     assert span.rank == rank_oracle(rows)
     assert span.express(target) == express_oracle(rows, target)
+
+
+nonnegative = st.builds(Fraction, st.integers(0, 9), st.integers(1, 6))
+
+
+@bounded
+@example(Hh=Fraction(0), Jj=Fraction(1), K=Fraction(1), b1=Fraction(1),
+         b2=Fraction(0), G0=Fraction(2))
+@given(Hh=nonnegative, Jj=fractions, K=fractions, b1=fractions, b2=fractions,
+       G0=nonnegative)
+def test_degree4_boundary_is_certified(Hh, Jj, K, b1, b2, G0):
+    # G = (Jj^2 + K^2) / Hh puts B on the boundary; Hh = 0 needs Jj = K = 0
+    # and leaves any G = G0 >= 0.
+    if Hh == 0:
+        Jj = K = Fraction(0)
+        G = G0
+    else:
+        G = (Jj * Jj + K * K) / Hh
+    B = Degree4Coeffs(b1, b2, b2 - Jj, K - b1, G - b1, Hh - b1)
+    assert degree4_inequalities(B).kind == "Boundary"
+    p = degree4_family(B)
+    v = classify(p, SampleConfig(seed=0))
+    if laplacian(p).is_zero():
+        assert v.kind == "Harmonic"
+        return
+    assert v.kind == "SubharmonicBoundaryCertified"
+    assert v.sos.reconstruct() == laplacian(p)
+    assert all(weight > 0 for weight, _ in v.sos.terms)
