@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._exactla import RowSpan, SparseRref, congruence_diagonalize, sparse_nullspace
@@ -562,20 +562,15 @@ def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
     if a sampled point is positive, flipping the sign of X flips it."""
     import numpy as np
 
-    from .positivity import Witness, _check_numeric_symmetry, draw_point
+    from .positivity import Witness, _draw_stack, _search
     from .positivity import min_eigenvalue, sample_matrix_positive
 
-    g = lap.g
     plan = EvalPlan.of(lap)
-    flip_tries = min(cfg.samples_per_size, 8)
+    stacks = [range(s, s + 1) for s in range(min(cfg.samples_per_size, 8))]
     for n in cfg.sizes:
-        for s in range(flip_tries):
-            pt = draw_point(cfg, g, n, s, True)
+        draw = partial(_draw_stack, cfg, lap.g, n, with_h=True)
+        for s, pt, eigs in _search(plan, stacks, draw):
             X, H = pt.X, pt.H
-            # The symmetry check refuses, by name, a value that overflowed.
-            with np.errstate(over="ignore", invalid="ignore"):
-                M = plan.run([H, *X])[0]
-            eigs = np.linalg.eigvalsh(_check_numeric_symmetry(M))
             if eigs[0] < -cfg.tol:
                 return Witness(n=n, X=X, H=H, min_eig=float(eigs[0]), sample_index=s)
             if eigs[-1] > cfg.tol:

@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -128,13 +129,7 @@ def _verdict_obj(v: classify2.Verdict) -> dict:
         c0, c1, c2 = v.membership
         obj["membership"] = {"c0": c0, "c1": c1, "c2": c2}
     if v.region is not None:
-        obj["region"] = {
-            "kind": v.region.kind,
-            "G": v.region.G,
-            "Hh": v.region.Hh,
-            "Jj": v.region.Jj,
-            "K": v.region.K,
-        }
+        obj["region"] = asdict(v.region)
     if v.sos is not None:
         obj["sos"] = _sos_obj(v.sos)
     if v.witness is not None:
@@ -377,15 +372,8 @@ def _cmd_odd_sandwich(args, stdin, out) -> int:
     p = _read_poly(args, stdin)
     s = classify2.odd_sandwich(p)
     if args.json:
-        obj = {
-            "degree": s.d,
-            "basis": [b.to_json_obj() for b in s.basis.elements]
-            if s.basis
-            else [],
-            "phi": [
-                [[c for c in row] for row in plane] for plane in s.phi
-            ],
-        }
+        basis = s.basis.elements if s.basis else []
+        obj = {"degree": s.d, "basis": [b.to_json_obj() for b in basis], "phi": s.phi}
         print(emit_json(obj), file=out)
     else:
         if s.basis is None:
@@ -399,17 +387,31 @@ def _cmd_odd_sandwich(args, stdin, out) -> int:
     return 0
 
 
+def _square_matrix(entry, name: str):
+    """A point-file entry, symmetrized; refused by name unless square 2-D."""
+    import numpy as np
+
+    try:
+        M = np.array(entry, dtype=float)
+    except (TypeError, ValueError):
+        M = None
+    if M is None or M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"point entry {name} is not a square matrix")
+    return symmetrize(M)
+
+
 def _cmd_eval(args, stdin, out) -> int:
     import numpy as np
 
     p = _read_poly(args, stdin)
     with open(args.point, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    X = tuple(symmetrize(np.array(M, dtype=float)) for M in spec["X"])
+    if not isinstance(spec, dict) or not isinstance(spec.get("X"), list):
+        raise ValueError("the point file must be a JSON object whose X is a list "
+                         "of square matrices")
+    X = tuple(_square_matrix(M, f"X[{i}]") for i, M in enumerate(spec["X"]))
     H = spec.get("H")
-    point = MatrixPoint(
-        X=X, H=None if H is None else symmetrize(np.array(H, dtype=float))
-    )
+    point = MatrixPoint(X=X, H=None if H is None else _square_matrix(H, "H"))
     # emit_json refuses, by name, a value that overflowed.
     with np.errstate(over="ignore", invalid="ignore"):
         result = evaluate(p, point)
@@ -430,9 +432,7 @@ def _cmd_sample(args, stdin, out) -> int:
     if verdict.witness is not None:
         obj["witness"] = _witness_obj(verdict.witness)
     print(emit_json(obj), file=out)
-    if verdict.kind == "Counterexample":
-        return 1
-    return 0
+    return 1 if verdict.kind == "Counterexample" else 0
 
 
 _COMMANDS = {

@@ -55,15 +55,6 @@ class MiddleMatrixRep:
         cols = np.array([j for _, j in cells], dtype=np.intp)
         return rows, cols, EvalPlan([self.Z[i][j]._terms for i, j in cells])
 
-    def __eq__(self, other):
-        if not isinstance(other, MiddleMatrixRep):
-            return NotImplemented
-        return (
-            self.g == other.g
-            and self.border == other.border
-            and self.Z == other.Z
-        )
-
 
 def extract(q: Poly) -> MiddleMatrixRep:
     """Middle-matrix representation of a symmetric, pure-quadratic-in-h q.

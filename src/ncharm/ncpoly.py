@@ -66,6 +66,10 @@ MAX_VARS = 254
 # expanding it.  A product of k two-term factors reaches it at k = 13.
 MAX_PARSE_LETTERS = 1 << 16
 
+# The most '(' and 'T(' levels parsed text may nest: each level takes three
+# frames of the recursive descent, well inside Python's recursion limit.
+MAX_PARSE_DEPTH = 100
+
 
 def check_num_vars(g: int) -> None:
     """Reject a variable count outside 0..MAX_VARS."""
@@ -398,6 +402,7 @@ class _Parser:
         self.text = text
         self.g = g
         self.pos = 0
+        self.depth = 0
 
     def parse(self) -> Poly:
         p = self._expr()
@@ -482,16 +487,18 @@ class _Parser:
 
     def _factor(self) -> Poly:
         ch = self._peek()
-        if ch == "(":
-            self.pos += 1
+        transpose = self.text.startswith("T(", self.pos)
+        if ch == "(" or transpose:
+            if self.depth == MAX_PARSE_DEPTH:
+                raise ParseError(
+                    f"nesting exceeds MAX_PARSE_DEPTH = {MAX_PARSE_DEPTH}", self.pos
+                )
+            self.depth += 1
+            self.pos += 2 if transpose else 1
             p = self._expr()
             self._expect(")")
-            return p
-        if ch == "T" and self.text[self.pos : self.pos + 2] == "T(":
-            self.pos += 2
-            p = self._expr()
-            self._expect(")")
-            return p.transpose()
+            self.depth -= 1
+            return p.transpose() if transpose else p
         if ch == "h":
             self.pos += 1
             letter = H_LETTER

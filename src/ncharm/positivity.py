@@ -3,17 +3,20 @@
 Random matrix tuples are drawn from a splitmix64 stream keyed by
 (seed, size, sample index, matrix slot), so every verdict is a pure
 function of the polynomial and the configuration, independent of
-execution order or platform.  Sampling can only refute positivity
-(produce a witness with a negative eigenvalue); the one per-point
-certificate available here is positive semidefiniteness of the evaluated
-middle matrix, which guarantees positivity of the Laplacian in every
-direction H at that point.
+execution order or platform.  Every random search (the sampler, the
+direction search at a fixed X and the classifier's sign-flip search) reads
+its eigenvalues from one loop, _search, that evaluates a stack of samples
+per plan run.  Sampling can only refute positivity (produce a witness with
+a negative eigenvalue); the one per-point certificate available here is
+positive semidefiniteness of the evaluated middle matrix, which guarantees
+positivity of the Laplacian in every direction H at that point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -246,6 +249,23 @@ def _draw_stack(
     return points, mats
 
 
+def _search(plan: EvalPlan, stacks, draw):
+    """Yield (sample, point, eigenvalues) in order, one plan.run per stack
+    of samples, where draw(samples) gives the points and their matrices as
+    plan.run takes them.  A refused stack is checked one sample at a time,
+    so a refused matrix raises only after every earlier sample is yielded."""
+    for samples in stacks:
+        points, mats = draw(samples)
+        # An overflow is refused, naming the value, by the checks below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = plan.run(mats)[0]
+        try:
+            eigs = np.linalg.eigvalsh(_check_numeric_symmetry(Z, ndim=3))
+        except ValueError:
+            eigs = (np.linalg.eigvalsh(_check_numeric_symmetry(M)) for M in Z)
+        yield from zip(samples, points, eigs)
+
+
 def sample_matrix_positive(p: Poly, cfg: SampleConfig) -> SampleVerdict:
     """Search for an evaluation of p with an eigenvalue below -tol.
 
@@ -257,36 +277,22 @@ def sample_matrix_positive(p: Poly, cfg: SampleConfig) -> SampleVerdict:
     """
     if not p.is_symmetric():
         raise ValueError("sample_matrix_positive requires a symmetric polynomial")
-    needs_h = p.contains_h
     plan = EvalPlan.of(p)
     tested = 0
     min_seen = float("inf")
     for n in cfg.sizes:
-        for samples in _chunks(cfg.samples_per_size):
-            points, mats = _draw_stack(cfg, p.g, n, samples, needs_h)
-            # An overflow is refused, naming the value, by the checks below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                Z = plan.run(mats)[0]
-            try:
-                A = _check_numeric_symmetry(Z, ndim=3)
-                mins = np.linalg.eigvalsh(A)[:, 0].tolist()
-            except ValueError:
-                # One sample at a time, so a refused matrix raises only
-                # when no earlier sample is a hit.
-                mins = (min_eigenvalue(M) for M in Z)
-            for s, pt, me in zip(samples, points, mins):
-                tested += 1
-                min_seen = min(min_seen, me)
-                if me < -cfg.tol:
-                    witness = Witness(
-                        n=n, X=pt.X, H=pt.H, min_eig=me, sample_index=s
-                    )
-                    return SampleVerdict(
-                        kind="Counterexample",
-                        witness=witness,
-                        samples_tested=tested,
-                        min_eigenvalue_seen=min_seen,
-                    )
+        draw = partial(_draw_stack, cfg, p.g, n, with_h=p.contains_h)
+        for s, pt, eigs in _search(plan, _chunks(cfg.samples_per_size), draw):
+            me = float(eigs[0])
+            tested += 1
+            min_seen = min(min_seen, me)
+            if me < -cfg.tol:
+                return SampleVerdict(
+                    kind="Counterexample",
+                    witness=Witness(n=n, X=pt.X, H=pt.H, min_eig=me, sample_index=s),
+                    samples_tested=tested,
+                    min_eigenvalue_seen=min_seen,
+                )
     return SampleVerdict(
         kind="NoCounterexampleFound",
         witness=None,
@@ -319,15 +325,15 @@ def subharmonic_at_point(
     _, psd = ldl_pivots(Zx, cfg.tol) if Zx.size else ([], True)
     if psd:
         return PointVerdict(kind="CertifiedAllH")
-    plan = EvalPlan.of(lap)
-    for s in range(cfg.h_samples):
-        H = _draw_slot(cfg, n, s, p.g)
-        with np.errstate(over="ignore", invalid="ignore"):
-            Z = plan.run([H, *X])[0]
-        me = min_eigenvalue(Z)
-        if me < -cfg.tol:
+
+    def draw(samples):
+        Hs = [_draw_slot(cfg, n, s, p.g) for s in samples]
+        return Hs, [np.stack(Hs), *X]
+
+    for s, H, eigs in _search(EvalPlan.of(lap), _chunks(cfg.h_samples), draw):
+        if eigs[0] < -cfg.tol:
             return PointVerdict(
                 kind="CounterexampleH",
-                witness=Witness(n=n, X=X, H=H, min_eig=me, sample_index=s),
+                witness=Witness(n=n, X=X, H=H, min_eig=float(eigs[0]), sample_index=s),
             )
     return PointVerdict(kind="Unknown")

@@ -475,6 +475,25 @@ class TestClassify:
         reproduced = min_eigenvalue(evaluate(lap, MatrixPoint(X=w.X, H=w.H)))
         assert abs(reproduced - w.min_eig) <= 1e-10
 
+    def test_odd_flip_phase_falls_back_to_sampler(self, monkeypatch):
+        # At n = 1 no eigenvalue of the first eight samples of x1^5 - x2^5
+        # exceeds tol = 8 in absolute value, so the sign-flip search finds
+        # nothing and the sampler supplies the witness, at sample 16.
+        # Values captured when the flip search evaluated one point at a time.
+        calls = []
+        sampler = positivity.sample_matrix_positive
+        monkeypatch.setattr(positivity, "sample_matrix_positive",
+                            lambda q, cfg: calls.append(cfg) or sampler(q, cfg))
+        p = parse("x1^5 - x2^5", 2)
+        w = classify(p, SampleConfig(sizes=(1,), samples_per_size=20, tol=8.0)).witness
+        assert len(calls) == 1
+        assert (w.n, w.sample_index, w.min_eig.hex()) == (1, 16, "-0x1.11b79876d9b5fp+3")
+        assert [M.tobytes().hex() for M in w.X] == ["d8b96c9e1a27e5bf", "9e63950cbd2bea3f"]
+        assert w.H.tobytes().hex() == "e2a6d022d5e3e63f"
+        # Given only the eight flip samples, the sampler finds nothing either.
+        v = classify(p, SampleConfig(sizes=(1,), samples_per_size=8, tol=8.0))
+        assert (len(calls), v.kind, v.witness) == (2, "NotSubharmonic", None)
+
     def test_high_even_nonmember(self):
         v = classify(parse("x1^6 + T(x1^6)", 2).scale(Fraction(1, 2)), CFG)
         assert v.kind == "NotSubharmonic"

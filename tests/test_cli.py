@@ -17,6 +17,12 @@ PINNED_POINT = {
     "X": [[[1.5, -0.25], [-0.25, 2.0]], [[0.0, 1.0], [1.0, -0.5]]],
     "H": [[0.5, 0.125], [0.125, -1.0]],
 }
+# Members of the degree-4 family strictly inside, outside and on the
+# boundary of its region, and 3*(Re gamma^3)^2 from the degree-6 family.
+STRICT4 = "x2^4 - x2^2*x1^2 + x2*x1^2*x2 + x1*x2^2*x1 - x1^2*x2^2 + x1^4"
+VIOLATED4 = "x2^4 - x2^2*x1^2 + 3*x2*x1*x2*x1 + 3*x1*x2*x1*x2 - x1^2*x2^2 + x1^4"
+BOUNDARY4 = "x2^4 - x2^2*x1^2 - x1^2*x2^2 + x1^4"
+MEMBER6 = "3*(x1^3 - x1*x2^2 - x2*x1*x2 - x2^2*x1)*(x1^3 - x1*x2^2 - x2*x1*x2 - x2^2*x1)"
 PINNED_CASES = {
     "derive.text": ["derive", "--var", "1", "x1^2*x2 + x2*x1^2"],
     "derive.json": ["derive", "--json", "--var", "2", "x1^2*x2 + x2*x1^2"],
@@ -34,6 +40,15 @@ PINNED_CASES = {
     "classify.degree4": ["classify", "--seed", "7", "--samples", "20", "x1^4 + x2^4"],
     "classify.family.json": ["classify", "--json", "--seed", "7", "--samples", "20",
                              "x1^6 - x2^6"],
+    "classify.strict4": ["classify", STRICT4],
+    "classify.strict4.json": ["classify", "--json", STRICT4],
+    "classify.violated4": ["classify", "--seed", "7", "--samples", "20", VIOLATED4],
+    "classify.violated4.json": ["classify", "--json", "--seed", "7", "--samples", "20",
+                                VIOLATED4],
+    "classify.boundary4": ["classify", BOUNDARY4],
+    "classify.boundary4.json": ["classify", "--json", BOUNDARY4],
+    "classify.member6": ["classify", MEMBER6],
+    "classify.member6.json": ["classify", "--json", MEMBER6],
     "sos.text": ["sos", "x1^4 - x1^2*x2^2 - x2^2*x1^2 + x2^4"],
     "sos.json": ["sos", "--json", "x1^4 - x1^2*x2^2 - x2^2*x1^2 + x2^4"],
     "sos.vars3.text": ["sos", "--vars", "3",
@@ -267,6 +282,26 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"X": [1, 2]}, "point entry X[0] is not a square matrix"),
+        ({"X": [[1, 2], [3, 4]]}, "point entry X[0] is not a square matrix"),
+        ({"X": [[[1.0]], [[1.0, 2.0]]]}, "point entry X[1] is not a square matrix"),
+        ({"X": [[[1.0]], [[1.0]]], "H": 3}, "point entry H is not a square matrix"),
+        ({"X": [[[1.0]], [[1.0]]], "H": [[1.0], [2.0]]},
+         "point entry H is not a square matrix"),
+        ({"X": [[["a"]]]}, "point entry X[0] is not a square matrix"),
+        ({"X": 5}, "the point file must be a JSON object whose X is a list"),
+        ({"Y": []}, "the point file must be a JSON object whose X is a list"),
+        ([1, 2], "the point file must be a JSON object whose X is a list"),
+    ])
+    def test_malformed_point_file(self, tmp_path, spec, message):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps(spec))
+        code, out, err = run(["eval", "--point", str(point), "x1 + h^2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestSample:
     def test_counterexample_exit(self):
@@ -349,6 +384,13 @@ class TestInputDomain:
         code, out, err = run(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+    def test_deep_nesting_from_file(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_text("(" * 2000 + "x1" + ")" * 2000)
+        code, out, err = run(["laplacian", "--file", str(f)])
+        assert (code, out) == (2, "")
+        assert err == "error: nesting exceeds MAX_PARSE_DEPTH = 100 at position 100\n"
 
     def test_largest_variable_count(self):
         assert run(["laplacian", "--vars", "254", "x254^2"]) == (0, "2*h^2\n", "")

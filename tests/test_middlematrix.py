@@ -81,6 +81,12 @@ class TestExtract:
             assert sorted(rep.border) == sorted(set(rep.border))
             assert extract(reconstruct(rep)) == rep
 
+    def test_equality_and_hash_follow_the_fields(self):
+        a, b = extract(parse(WORKED_EXAMPLE, 2)), extract(parse(WORKED_EXAMPLE, 2))
+        a._cells  # the compiled plan is cached state, not a field
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != extract(parse("h*x1*h", 2)) and a != (a.g, a.border, a.Z)
+
     def test_middle_matrix_symmetry(self):
         rnd = random.Random(32)
         for _ in range(30):

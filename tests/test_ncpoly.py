@@ -92,6 +92,20 @@ class TestParse:
             parse(f"h^{limit + 1}", 2)
         assert parse("x1^0*h^2", 2) == parse("h^2", 2)
 
+    def test_nesting_cap(self):
+        depth = ncpoly.MAX_PARSE_DEPTH
+        x1 = Poly.variable(2, 1)
+        assert parse("(" * depth + "x1" + ")" * depth, 2) == x1
+        assert parse("T(" * depth + "x1" + ")" * depth, 2) == x1
+        with pytest.raises(ParseError, match="exceeds MAX_PARSE_DEPTH") as info:
+            parse("(" * 2000 + "x1" + ")" * 2000, 2)
+        assert info.value.position == depth
+        # Levels count wherever they open: inside products and after T(.
+        nested = "x2*(" * depth + "T(x1)" + ")" * depth
+        with pytest.raises(ParseError) as info:
+            parse(nested, 2)
+        assert info.value.position == 4 * depth
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("x1 x2", 2)

@@ -346,3 +346,52 @@ class TestSubharmonicAtPoint:
                 me = min_eigenvalue(evaluate(lap, MatrixPoint(X=X, H=H)))
                 assert me >= -cfg.tol
         assert certified == 50
+
+    # x1^3 at X1 = diag(1, -1/20): Z(X) is indefinite and only directions H
+    # leaning on the small negative eigenvalue refute.  Values captured when
+    # the direction search evaluated one H at a time.
+    LATE_X = (np.diag([1.0, -0.05]), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("seed, sample, min_eig, H", [
+        (6, 2, "-0x1.07edeb120da6ep-2",
+         "0ef481dd6ee7e83f802d18b6e475c03f802d18b6e475c03fa4c041415af1eebf"),
+        (14, 7, "-0x1.7e7bbfffd6452p-2",
+         "e2818347ee91e2bfecb2b3c3a68fd73fecb2b3c3a68fd73f229468b104e4e2bf"),
+    ])
+    def test_direction_hit_beyond_first_stack(self, seed, sample, min_eig, H):
+        p = parse("x1^3", 2)
+        verdict = subharmonic_at_point(p, self.LATE_X, SampleConfig(seed=seed, h_samples=20))
+        w = verdict.witness
+        assert (verdict.kind, w.n, w.sample_index) == ("CounterexampleH", 2, sample)
+        assert (w.min_eig.hex(), w.H.tobytes().hex()) == (min_eig, H)
+        point = MatrixPoint(X=w.X, H=w.H)
+        assert min_eigenvalue(evaluate(laplacian(p), point)) == w.min_eig
+
+    def test_unknown_after_every_direction(self):
+        # Seed 14 first refutes at sample 7, one past seven directions.
+        p = parse("x1^3", 2)
+        verdict = subharmonic_at_point(p, self.LATE_X, SampleConfig(seed=14, h_samples=7))
+        assert (verdict.kind, verdict.witness) == ("Unknown", None)
+        # At n = 1, Lap(x1^3) = 6*x1*h^2 is positive at x1 = 1/2 although
+        # its middle matrix is indefinite.
+        X = (np.array([[0.5]]), np.zeros((1, 1)))
+        assert subharmonic_at_point(p, X, SampleConfig(seed=0)).kind == "Unknown"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_direction_hit_wins_over_later_overflow(self):
+        # Lap = -4*h^2.  With entries up to 2^511, sample 0 (|H| = 0.40 *
+        # 2^511) is a hit and sample 1 (|H| = 0.92 * 2^511), drawn in the
+        # same stack, overflows when symmetrized.  The hit wins, as when
+        # every direction was evaluated on its own.
+        p = parse("x1^2 - 3*x2^2", 2)
+        X = (np.zeros((1, 1)), np.zeros((1, 1)))
+        cfg = SampleConfig(seed=1, entry_range=2.0 ** 511)
+        H1 = draw_symmetric(substream(1, 1, 1, 2), 1, 2.0 ** 511)
+        with pytest.raises(ValueError, match="found -inf"):
+            min_eigenvalue(evaluate(laplacian(p), MatrixPoint(X=X, H=H1)))
+        w = subharmonic_at_point(p, X, cfg).witness
+        assert (w.sample_index, w.min_eig.hex()) == (0, "-0x1.4310c24502966p+1021")
+        assert w.H.tobytes().hex() == "a04fe4804a6bc9df"
+        # When sample 0 overflows, the search refuses it by name.
+        with pytest.raises(ValueError, match="found -inf"):
+            subharmonic_at_point(p, X, SampleConfig(seed=7, entry_range=2.0 ** 511))
