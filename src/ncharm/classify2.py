@@ -31,8 +31,8 @@ from ._exactla import RowSpan, SparseRref, congruence_diagonalize, sparse_nullsp
 from .calculus import directional_derivative, laplacian
 from .harmonicspace import (
     HarmonicBasis,
+    _row_span,
     _vectorize,
-    express_in_basis,
     gamma_power_parts,
     harmonic_basis,
 )
@@ -64,6 +64,24 @@ __all__ = [
     "odd_sandwich",
     "odd_sandwich_vanishing_check",
 ]
+
+
+def _combine(g: int, pairs) -> Poly:
+    """sum c*q over (coefficient, polynomial) pairs, accumulated in one
+    dict in pair order and then term order: the terms and their order that
+    repeated Poly.__add__ leaves.  A zero coefficient adds nothing and a
+    coefficient of 1 is not multiplied."""
+    out: dict[Word, Fraction] = {}
+    for c, q in pairs:
+        if not c:
+            continue
+        for w, v in q._terms.items():
+            s = out.get(w, 0) + (v if c == 1 else c * v)
+            if s:
+                out[w] = s
+            else:
+                del out[w]
+    return Poly._raw(g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +180,10 @@ class GramForm:
     phi: tuple
 
     def reconstruct(self) -> Poly:
-        acc = Poly.zero(self.vectors[0].g if self.vectors else 2)
-        for va, row in zip(self.vectors, self.phi):
-            vat = va.transpose()
-            for vb, c in zip(self.vectors, row):
-                if c:
-                    acc = acc + (vat * vb).scale(c)
-        return acc
+        vts = [v.transpose() for v in self.vectors]
+        return _combine(self.vectors[0].g if self.vectors else 2, (
+            (c, vt * vb) for vt, row in zip(vts, self.phi) for vb, c in zip(self.vectors, row) if c
+        ))
 
 
 def _arranged_harmonics(g: int, m: int):
@@ -207,14 +222,10 @@ def _split_symmetric(basis: HarmonicBasis):
             forward, backward = combo_rows[index[w]], combo_rows[index[w[::-1]]]
             forward[i] = forward.get(i, 0) + c
             backward[i] = backward.get(i, 0) - c
-    combos = sparse_nullspace(combo_rows, basis.dimension)
-    s = []
-    for combo in combos:
-        q = Poly.zero(basis.g)
-        for coeff, el in zip(combo, basis.elements):
-            if coeff:
-                q = q + el.scale(coeff)
-        s.append(q)
+    s = [
+        _combine(basis.g, zip(combo, basis.elements))
+        for combo in sparse_nullspace(combo_rows, basis.dimension)
+    ]
     tracker = SparseRref()
     for q in s:
         tracker.insert({index[w]: c for w, c in q._terms.items()})
@@ -225,11 +236,11 @@ def _split_symmetric(basis: HarmonicBasis):
     return s, u
 
 
-def _sandwich_coords(p: Poly, m: int, mid: int, k: int, express) -> list:
+def _sandwich_coords(p: Poly, m: int, mid: int, span: RowSpan, index: dict) -> list:
     """Exact c[a][i][j] with p = sum c[a][i][j] v_a x_(i+1) v_j (mid 1) or
-    p = sum c[a][0][j] v_a v_j (mid 0), where express maps a polynomial to
-    its k coordinates over a list v spanning the degree-m harmonics, or to
-    None outside their span.
+    p = sum c[a][0][j] v_a v_j (mid 0), where span holds the coefficient
+    rows, over the degree-m words numbered by index, of a list v spanning
+    the degree-m harmonics.
 
     p is split once at its leading words of length m + mid.  Each right
     neighbor p_lead is expressed as sum_j mu_j v_j, then each aggregated
@@ -239,11 +250,11 @@ def _sandwich_coords(p: Poly, m: int, mid: int, k: int, express) -> list:
     a symmetric or harmonic p are combinations of its harmonic left
     neighbors.
     """
-    slots = p.g if mid else 1
+    k, slots = span.k, p.g if mid else 1
     left: list[list[dict]] = [[{} for _ in range(slots)] for _ in range(k)]
     failing = []
     for lead, part in right_neighbor(p, m + mid).parts.items():
-        mu = express(part)
+        mu = span.express(_vectorize(part, index))
         if mu is None:
             failing.append(lead)
             continue
@@ -261,7 +272,7 @@ def _sandwich_coords(p: Poly, m: int, mid: int, k: int, express) -> list:
     for j, factors in enumerate(left):
         for i, terms in enumerate(factors):
             if terms:
-                mu = express(Poly(p.g, terms))
+                mu = span.express(_vectorize(Poly(p.g, terms), index))
                 if mu is None:
                     raise AssertionError("an aggregated left factor is not harmonic")
                 for a, c in enumerate(mu):
@@ -285,14 +296,11 @@ def gram_from_neighbors(p: Poly) -> GramForm:
     if d is None or d % 2 or d < 2:
         raise ValueError("gram_from_neighbors requires homogeneous even degree >= 2")
     basis, vectors, perm = _arranged_harmonics(p.g, d // 2)
-    index = {w: i for i, w in enumerate(basis.word_index)}
-    span = RowSpan([_vectorize(v, index) for v in vectors], len(index))
+    span, index = _row_span(vectors, basis.word_index)
     if span.rank != basis.dimension:
         raise AssertionError("arranged list fails to span the harmonic basis")
     nv = len(vectors)
-    coords = _sandwich_coords(
-        p, basis.d, 0, nv, lambda q: span.express(_vectorize(q, index))
-    )
+    coords = _sandwich_coords(p, basis.d, 0, span, index)
     phi = [
         [(coords[perm[a]][0][b] + coords[perm[b]][0][a]) / 2 for b in range(nv)]
         for a in range(nv)
@@ -320,10 +328,7 @@ class SosDecomposition:
     terms: tuple  # of (Fraction, Poly)
 
     def reconstruct(self) -> Poly:
-        acc = Poly.zero(self.g)
-        for d, r in self.terms:
-            acc = acc + (r.transpose() * r).scale(d)
-        return acc
+        return _combine(self.g, ((d, r.transpose() * r) for d, r in self.terms))
 
 
 def _squares(vectors: Sequence[Poly], gram, target: Poly) -> SosDecomposition:
@@ -333,10 +338,7 @@ def _squares(vectors: Sequence[Poly], gram, target: Poly) -> SosDecomposition:
     N, D = congruence_diagonalize([list(row) for row in gram])
     terms = []
     for i, weight in enumerate(D):
-        r = Poly.zero(target.g)
-        for a, v in enumerate(vectors):
-            if N[a][i]:
-                r = r + v.scale(N[a][i])
+        r = _combine(target.g, zip((row[i] for row in N), vectors))
         if weight and not r.is_zero():
             terms.append((weight, r))
     dec = SosDecomposition(g=target.g, terms=tuple(terms))
@@ -380,13 +382,11 @@ def _laplacian_squares(p: Poly) -> SosDecomposition:
 def laplacian_sos_identity_check(dec: SosDecomposition) -> bool:
     """Exact check of Lap(sum d_i R_i^T R_i) against the derivative form
     2 * sum_i d_i sum_j D[R_i, x_j]^T D[R_i, x_j]."""
-    lhs = laplacian(dec.reconstruct())
-    rhs = Poly.zero(dec.g)
-    for d, r in dec.terms:
-        for j in range(1, dec.g + 1):
-            dr = directional_derivative(r, j)
-            rhs = rhs + (dr.transpose() * dr).scale(2 * d)
-    return lhs == rhs
+    derivatives = [
+        (d, directional_derivative(r, j)) for d, r in dec.terms for j in range(1, dec.g + 1)
+    ]
+    rhs = _combine(dec.g, ((2 * d, dr.transpose() * dr) for d, dr in derivatives))
+    return laplacian(dec.reconstruct()) == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +455,6 @@ def degree4_inequalities(B: Degree4Coeffs) -> Degree4Region:
 
 def degree4_family(B: Degree4Coeffs) -> Poly:
     """The six-parameter symmetric degree-4 family spanned by the b-slots."""
-    p = Poly.zero(2)
     groups = [
         (B.b1, [(1, word(1, 1, 1, 1)), (-1, word(1, 1, 2, 2)),
                 (-1, word(2, 2, 1, 1)), (1, word(2, 2, 2, 2))]),
@@ -467,12 +466,9 @@ def degree4_family(B: Degree4Coeffs) -> Poly:
         (B.b5, [(1, word(1, 2, 2, 1))]),
         (B.b6, [(1, word(2, 1, 1, 2))]),
     ]
-    for coeff, monos in groups:
-        if not coeff:
-            continue
-        for sign, w in monos:
-            p = p + Poly.monomial(2, w, sign * coeff)
-    return p
+    return _combine(2, (
+        (sign * coeff, Poly.monomial(2, w)) for coeff, monos in groups for sign, w in monos
+    ))
 
 
 _DEG4_SLOTS = {
@@ -509,9 +505,7 @@ def _membership_generators(d: int):
     re_d, _ = gamma_power_parts(d)
     re_2d, im_2d = gamma_power_parts(2 * d)
     gens = [re_d * re_d, re_2d, im_2d]
-    words = sorted({w for q in gens for w in q._terms})
-    index = {w: i for i, w in enumerate(words)}
-    span = RowSpan([_vectorize(q, index) for q in gens], len(index))
+    span, index = _row_span(gens, sorted({w for q in gens for w in q._terms}))
     if span.rank != 3:
         raise AssertionError(f"membership generators dependent at degree {2 * d}")
     return span, index
@@ -713,17 +707,15 @@ class OddSandwich:
     phi: tuple  # k x g x k nested tuple of Fractions
 
     def reconstruct(self) -> Poly:
-        acc = Poly.zero(self.g)
-        if self.basis is None:
-            return acc
-        gam = self.basis.elements
-        for m, plane in enumerate(self.phi):
-            for i, row in enumerate(plane):
-                xi = Poly.variable(self.g, i + 1)
-                for j, c in enumerate(row):
-                    if c:
-                        acc = acc + (gam[m] * xi * gam[j]).scale(c)
-        return acc
+        gam = self.basis.elements if self.basis else ()
+        xs = [Poly.variable(self.g, i) for i in range(1, self.g + 1)]
+        return _combine(self.g, (
+            (c, gam[m] * xs[i] * gam[j])
+            for m, plane in enumerate(self.phi)
+            for i, row in enumerate(plane)
+            for j, c in enumerate(row)
+            if c
+        ))
 
 
 def odd_sandwich(p: Poly) -> OddSandwich:
@@ -744,9 +736,7 @@ def odd_sandwich(p: Poly) -> OddSandwich:
     if not laplacian(p).is_zero():
         raise ValueError("odd_sandwich requires a harmonic polynomial")
     basis = harmonic_basis(p.g, (d - 1) // 2)
-    phi = _sandwich_coords(
-        p, basis.d, 1, basis.dimension, lambda q: express_in_basis(q, basis)
-    )
+    phi = _sandwich_coords(p, basis.d, 1, *_row_span(basis.elements, basis.word_index))
     result = OddSandwich(
         g=p.g,
         d=d,
@@ -761,53 +751,24 @@ def odd_sandwich(p: Poly) -> OddSandwich:
 def odd_sandwich_vanishing_check(s: OddSandwich) -> bool:
     """Verify the three exact cancellation identities satisfied by the
     sandwich coefficients of a harmonic polynomial (grouped by how many h
-    letters land in the right half of each term)."""
+    letters land in the right half of each term): sum_m gam_m h inner_m,
+    sum_j outer_j h gam_j and sum_lij (sum_m phi[m][i][j] D_l(gam_m))
+    x_(i+1) D_l(gam_j) vanish, with inner_m = sum_ij phi[m][i][j]
+    D_(i+1)(gam_j) and outer_j = sum_mi phi[m][i][j] D_(i+1)(gam_m).
+    Each D_l(gam_j) is taken once and the sums combine them linearly."""
     if s.basis is None:
         return True
-    g, k = s.g, s.basis.dimension
-    gam = s.basis.elements
+    g, gam, phi = s.g, s.basis.elements, s.phi
+    ks, gs = range(len(gam)), range(g)
     h = Poly.direction(g)
-    zero = Poly.zero(g)
-
-    first = zero
-    for m in range(k):
-        inner = zero
-        for i in range(1, g + 1):
-            q = zero
-            for j in range(k):
-                c = s.phi[m][i - 1][j]
-                if c:
-                    q = q + gam[j].scale(c)
-            if not q.is_zero():
-                inner = inner + directional_derivative(q, i)
-        first = first + gam[m] * h * inner
-
-    second = zero
-    for j in range(k):
-        outer = zero
-        for i in range(1, g + 1):
-            q = zero
-            for m in range(k):
-                c = s.phi[m][i - 1][j]
-                if c:
-                    q = q + gam[m].scale(c)
-            if not q.is_zero():
-                outer = outer + directional_derivative(q, i)
-        second = second + outer * h * gam[j]
-
-    third = zero
-    for ell in range(1, g + 1):
-        for i in range(1, g + 1):
-            for j in range(k):
-                q = zero
-                for m in range(k):
-                    c = s.phi[m][i - 1][j]
-                    if c:
-                        q = q + gam[m].scale(c)
-                if q.is_zero():
-                    continue
-                third = third + directional_derivative(q, ell) * Poly.variable(
-                    g, i
-                ) * directional_derivative(gam[j], ell)
-
+    xs = [Poly.variable(g, i + 1) for i in gs]
+    dgam = [[directional_derivative(q, ell + 1) for q in gam] for ell in gs]
+    inner = [_combine(g, ((phi[m][i][j], dgam[i][j]) for i in gs for j in ks)) for m in ks]
+    outer = [_combine(g, ((phi[m][i][j], dgam[i][m]) for m in ks for i in gs)) for j in ks]
+    first = _combine(g, ((1, gam[m] * h * inner[m]) for m in ks))
+    second = _combine(g, ((1, outer[j] * h * gam[j]) for j in ks))
+    third = _combine(g, (
+        (1, _combine(g, ((phi[m][i][j], dgam[ell][m]) for m in ks)) * xs[i] * dgam[ell][j])
+        for ell in gs for i in gs for j in ks
+    ))
     return first.is_zero() and second.is_zero() and third.is_zero()

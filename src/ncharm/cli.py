@@ -102,11 +102,7 @@ def _emit(obj, out: list) -> None:
             _emit(v, out)
         out.append("]")
     else:
-        import numpy as np
-
-        if not isinstance(obj, np.ndarray):
-            raise TypeError(f"cannot serialize {type(obj)!r}")
-        _emit([[float(v) for v in row] for row in np.atleast_2d(obj)], out)
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _witness_obj(w: positivity.Witness) -> dict:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from ._exactla import sparse_nullspace
+from ._exactla import RowSpan, sparse_nullspace
 from .ncpoly import Poly, Word, check_num_vars, word_key
 from .calculus import laplacian
 
@@ -167,6 +167,13 @@ def _vectorize(p: Poly, index: dict) -> list[Fraction]:
     return vec
 
 
+def _row_span(polys, words) -> tuple[RowSpan, dict]:
+    """The coefficient rows of polys over words, reduced once by RowSpan,
+    and the index that numbers the words."""
+    index = {w: i for i, w in enumerate(words)}
+    return RowSpan([_vectorize(q, index) for q in polys], len(index)), index
+
+
 def express_in_basis(p: Poly, basis: HarmonicBasis) -> Optional[list[Fraction]]:
     """Exact coordinates of p in the basis, or None when p is outside the span.
 
@@ -177,18 +184,8 @@ def express_in_basis(p: Poly, basis: HarmonicBasis) -> Optional[list[Fraction]]:
         raise ValueError(f"num_vars mismatch: {p.g} vs basis {basis.g}")
     if not p.is_homogeneous(basis.d) and not p.is_zero():
         raise ValueError(f"polynomial is not homogeneous of degree {basis.d}")
-    vec = _vectorize(p, {w: i for i, w in enumerate(basis.word_index)})
-    coords = [vec[c] for c in basis.pivot_cols]
-    # Residual check: subtract the combination and demand exact zero.
-    residual = list(vec)
-    for coeff, row in zip(coords, basis.coeff_rows):
-        if coeff:
-            for j, v in enumerate(row):
-                if v:
-                    residual[j] -= coeff * v
-    if any(residual):
-        return None
-    return coords
+    span, index = _row_span(basis.elements, basis.word_index)
+    return span.express(_vectorize(p, index))
 
 
 def check_independence_property(basis: HarmonicBasis) -> Optional[list[Word]]:

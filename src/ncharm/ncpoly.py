@@ -546,7 +546,9 @@ class DegreeProfile:
 
 
 def degree_profile(p: Poly) -> DegreeProfile:
-    """Report degree data used as preconditions throughout the package."""
+    """Report p's total degree, the number of h letters in each word (in
+    ascending canonical order), its common degree (None if mixed) and
+    whether it equals its transpose."""
     h_counts = {w: w.count(H_LETTER) for w, _ in p.terms()}
     return DegreeProfile(
         total_degree=p.total_degree(),

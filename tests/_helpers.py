@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ncharm import H_LETTER, MatrixPoint, Poly
+from ncharm import H_LETTER, MatrixPoint, Poly, directional_derivative
 
 
 def random_word(rnd: random.Random, g: int, length: int) -> bytes:
@@ -229,6 +229,51 @@ def express_oracle(rows, target):
     if any(residual):
         return None
     return combo
+
+
+def express_in_basis_oracle(p: Poly, basis):
+    """Coordinates of p over an echelon harmonic basis by a residual solve:
+    p's entries at the pivot columns, kept only if subtracting that
+    combination leaves exactly zero."""
+    index = {w: i for i, w in enumerate(basis.word_index)}
+    vec = [Fraction(0)] * len(index)
+    for w, c in p.terms():
+        vec[index[w]] = c
+    coords = [vec[c] for c in basis.pivot_cols]
+    residual = list(vec)
+    for coeff, row in zip(coords, basis.coeff_rows):
+        for j, v in enumerate(row):
+            residual[j] -= coeff * v
+    return None if any(residual) else coords
+
+
+def sandwich_identities_oracle(s):
+    """The three sums that odd_sandwich_vanishing_check demands be zero,
+    expanded one coefficient at a time:
+    sum phi[m][i][j] gam_m h D_(i+1)(gam_j),
+    sum phi[m][i][j] D_(i+1)(gam_m) h gam_j and
+    sum phi[m][i][j] D_l(gam_m) x_(i+1) D_l(gam_j) over every l."""
+    g, gam = s.g, s.basis.elements
+    h = Poly.direction(g)
+    sums = [Poly.zero(g) for _ in range(3)]
+    for m, plane in enumerate(s.phi):
+        for i, row in enumerate(plane):
+            xi = Poly.variable(g, i + 1)
+            for j, c in enumerate(row):
+                if not c:
+                    continue
+                sums[0] = sums[0] + mul_oracle(
+                    mul_oracle(gam[m], h), directional_derivative(gam[j], i + 1)
+                ).scale(c)
+                sums[1] = sums[1] + mul_oracle(
+                    mul_oracle(directional_derivative(gam[m], i + 1), h), gam[j]
+                ).scale(c)
+                for ell in range(1, g + 1):
+                    sums[2] = sums[2] + mul_oracle(
+                        mul_oracle(directional_derivative(gam[m], ell), xi),
+                        directional_derivative(gam[j], ell),
+                    ).scale(c)
+    return sums
 
 
 def nullity_oracle(rows, ncols: int) -> int:

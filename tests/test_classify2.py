@@ -7,6 +7,7 @@ from ncharm import (
     Degree4Coeffs,
     GramObstruction,
     MatrixPoint,
+    OddSandwich,
     Poly,
     SampleConfig,
     SosDecomposition,
@@ -38,6 +39,7 @@ from ncharm.classify2 import _laplacian_squares
 
 from _helpers import (
     gram_oracle,
+    sandwich_identities_oracle,
     poly_matrix,
     random_symmetric_homogeneous,
     rank_oracle,
@@ -596,6 +598,46 @@ class TestOddSandwich:
                 s = odd_sandwich(p)
                 assert s.reconstruct() == p
                 assert odd_sandwich_vanishing_check(s)
+
+    @staticmethod
+    def _perturbed(s, entries):
+        phi = [[list(row) for row in plane] for plane in s.phi]
+        for (m, i, j), c in entries:
+            phi[m][i][j] += c
+        return OddSandwich(g=s.g, d=s.d, basis=s.basis,
+                           phi=tuple(tuple(map(tuple, plane)) for plane in phi))
+
+    @pytest.mark.parametrize("entry, broken", [
+        # Over gam = (x1, x2), D_(i+1)(gam_j) is h exactly when i = j.
+        ((0, 1, 1), [True, False, False]),
+        ((0, 0, 1), [False, True, False]),
+        ((0, 1, 0), [False, False, True]),
+    ])
+    def test_vanishing_check_refuses_each_broken_identity(self, entry, broken):
+        s = self._perturbed(odd_sandwich(gamma_power_parts(3)[0]), [(entry, 1)])
+        assert [not q.is_zero() for q in sandwich_identities_oracle(s)] == broken
+        assert odd_sandwich_vanishing_check(s) is False
+
+    def test_vanishing_check_on_perturbed_degree_five(self):
+        s = odd_sandwich(gamma_power_parts(5)[1])
+        cases = [
+            ([((0, 0, 0), Fraction(1, 2))], False),
+            ([((1, 1, 2), Fraction(-3))], False),
+            ([((2, 0, 1), Fraction(2)), ((1, 0, 2), Fraction(-2))], False),
+        ]
+        for entries, expected in cases:
+            t = self._perturbed(s, entries)
+            assert odd_sandwich_vanishing_check(t) is expected
+            assert any(not q.is_zero() for q in sandwich_identities_oracle(t))
+
+    def test_vanishing_check_accepts_a_harmonic_perturbation(self):
+        # gam_0 x2 gam_2 = x1*x2*x3 is harmonic, so every identity still
+        # holds although phi no longer rebuilds p.
+        p = parse("x1*x2*x3 + x3*x2*x1", 3)
+        t = self._perturbed(odd_sandwich(p), [((0, 1, 2), Fraction(5))])
+        assert t.reconstruct() != p
+        assert all(q.is_zero() for q in sandwich_identities_oracle(t))
+        assert odd_sandwich_vanishing_check(t) is True
 
     def test_degree_fifteen(self):
         re15 = gamma_power_parts(15)[0]

@@ -378,12 +378,42 @@ class TestInputDomain:
              "exceeds MAX_PARSE_LETTERS = 65536"),
             (["laplacian", "x1^513"], "exceeds MAX_LAPLACIAN_LETTERS = 67108864"),
             (["harmonic-basis", "--degree", "40"], "exceed MAX_SYSTEM_LETTERS = 262144"),
+            (["harmonic-basis", "--vars", "200", "--degree", "2"],
+             "exceeds MAX_NULLSPACE_ENTRIES = 16777216"),
+            (["sos", "--vars", "200", "x1^4"], "exceeds MAX_NULLSPACE_ENTRIES = 16777216"),
+            (["odd-sandwich", "--vars", "200", "x1*x2*x3*x4*x5"],
+             "exceeds MAX_NULLSPACE_ENTRIES = 16777216"),
+            (["sample", "--sizes", "100000", "x1"],
+             "sizes must be at most MAX_SAMPLE_SIZE = 64, got 100000"),
+            (["classify", "--sizes", "100000", "x1^6-x2^6"],
+             "sizes must be at most MAX_SAMPLE_SIZE = 64, got 100000"),
         ],
     )
     def test_rejected_with_exit_two(self, argv, message):
         code, out, err = run(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+    def test_oversized_basis_exits_before_allocating(self):
+        # A fresh interpreter limited to 512 MB of address space: building
+        # the 1.6e9 dense entries would end in a MemoryError traceback.
+        def limit():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncharm.cli", "harmonic-basis", "--vars", "200",
+             "--degree", "2"],
+            env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=limit,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: a nullspace of 39999 vectors over 40000 columns exceeds "
+            "MAX_NULLSPACE_ENTRIES = 16777216 entries\n"
+        )
 
     def test_deep_nesting_from_file(self, tmp_path):
         f = tmp_path / "p.txt"
@@ -465,6 +495,13 @@ class TestEmitJson:
     def test_refuses_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             emit_json({"x": [1.0, bad]})
+
+    def test_refuses_unknown_types(self):
+        import numpy as np
+
+        for bad in (object(), np.zeros((2, 2)), {1, 2}):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                emit_json({"x": bad})
 
     def test_round_trip_is_valid_json(self):
         obj = json.loads(emit_json({"x": [1.5, -2.0], "y": {"z": 3}}))

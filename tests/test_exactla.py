@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ncharm._exactla import (
+    MAX_NULLSPACE_ENTRIES,
     RowSpan,
     congruence_diagonalize,
     is_psd_rational,
@@ -84,6 +86,14 @@ class TestNullspace:
             # already in reduced row echelon form.
             assert sparse_nullspace(rows, ncols) == basis
             assert rref_oracle(basis)[0] == basis
+
+    def test_entry_cap_refuses_before_building_vectors(self):
+        # 4,097 free columns of 4,097 entries are one column past 2^24.
+        assert 4096 * 4096 == MAX_NULLSPACE_ENTRIES
+        with pytest.raises(ValueError, match="MAX_NULLSPACE_ENTRIES = 16777216"):
+            sparse_nullspace([], 4097)
+        with pytest.raises(ValueError, match="4096 vectors over 4097 columns"):
+            sparse_nullspace([{0: Fraction(1)}], 4097)
 
     def test_rref_shape(self):
         assert RowSpan([[Fraction(0)] * 3], 3).rank == 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -17,7 +18,13 @@ from ncharm import (
 )
 from ncharm.ncpoly import word_key
 
-from _helpers import laplacian_oracle, nullity_oracle, spans_equal
+from _helpers import (
+    express_in_basis_oracle,
+    laplacian_oracle,
+    nullity_oracle,
+    random_homogeneous,
+    spans_equal,
+)
 
 
 class TestGammaPowers:
@@ -160,6 +167,13 @@ class TestHarmonicBasis:
     def test_pinned_dimensions(self, g, d, dim):
         assert harmonic_basis(g, d).dimension == dim
 
+    def test_nullspace_entry_cap(self):
+        # The 40,000 degree-2 words of 200 variables pass MAX_SYSTEM_LETTERS,
+        # but their 39,999 harmonics would hold 1.6e9 dense entries.
+        with pytest.raises(ValueError, match="39999 vectors over 40000 columns exceeds "
+                                             "MAX_NULLSPACE_ENTRIES"):
+            harmonic_basis(200, 2)
+
     def test_one_var_has_no_high_harmonics(self):
         assert harmonic_basis(1, 1).dimension == 1
         for d in range(2, 5):
@@ -191,6 +205,22 @@ class TestExpressInBasis:
             express_in_basis(parse("x1^2", 2), basis)
         with pytest.raises(ValueError):
             express_in_basis(Poly.variable(3, 1), basis)
+
+
+    def test_matches_residual_oracle(self):
+        rnd = random.Random(1018)
+        outside = 0
+        for g, d in [(1, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]:
+            basis = harmonic_basis(g, d)
+            for _ in range(4):
+                member = Poly.zero(g)
+                for el in basis.elements:
+                    member = member + el.scale(Fraction(rnd.randint(-3, 3), 2))
+                for p in (member, member + random_homogeneous(rnd, g, d, 2)):
+                    coords = express_in_basis(p, basis)
+                    assert coords == express_in_basis_oracle(p, basis)
+                    outside += coords is None
+        assert outside == 18
 
 
 class TestIndependenceProperty:

@@ -188,11 +188,20 @@ class TestSampleConfig:
             ("entry_range", -1.0),
             ("entry_range", float("inf")),
             ("entry_range", float("nan")),
+            ("sizes", (1, 65)),
+            ("sizes", (100000,)),
         ],
     )
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(ValueError, match=field):
             SampleConfig(**{field: value})
+
+    def test_largest_size(self):
+        from ncharm.positivity import MAX_SAMPLE_SIZE
+
+        assert SampleConfig(sizes=(1, MAX_SAMPLE_SIZE)).sizes == (1, 64)
+        with pytest.raises(ValueError, match="at most MAX_SAMPLE_SIZE = 64, got 65"):
+            SampleConfig(sizes=(1, 65))
 
     def test_smallest_valid_settings(self):
         cfg = SampleConfig(samples_per_size=1, h_samples=1, tol=1e-300, entry_range=1e-3)

@@ -21,6 +21,7 @@ from ncharm import (
     parse,
 )
 from ncharm._exactla import RowSpan
+from ncharm.classify2 import _combine
 from ncharm.cli import emit_json
 from ncharm.middlematrix import extract, reconstruct
 
@@ -74,6 +75,31 @@ def dependent_systems(draw):
     else:
         target = draw(vectors)
     return rows, target
+
+
+@st.composite
+def weighted_polys(draw):
+    """(g, [(c, q), ...]) over one g, with coefficients that include 0 and
+    1 and terms that cancel and come back."""
+    g = draw(st.integers(1, 3))
+    words = st.lists(st.integers(0, g), max_size=3).map(bytes)
+    shared = draw(st.lists(words, min_size=1, max_size=4))
+    terms = st.dictionaries(st.sampled_from(shared) | words, fractions, max_size=4)
+    coeffs = st.sampled_from([Fraction(0), Fraction(1), 1, -1]) | fractions
+    pairs = draw(st.lists(st.tuples(coeffs, terms.map(lambda t: Poly(g, t))), max_size=6))
+    return g, pairs
+
+
+@bounded
+@given(weighted_polys())
+def test_combine_matches_repeated_add(case):
+    g, pairs = case
+    acc = Poly.zero(g)
+    for c, q in pairs:
+        acc = acc + q.scale(c)
+    got = _combine(g, pairs)
+    assert got == acc
+    assert list(got._terms.items()) == list(acc._terms.items())
 
 
 @bounded
