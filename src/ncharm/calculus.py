@@ -8,7 +8,8 @@ carries exactly two h letters.
 
 The Laplacian is computed by direct double replacement: for every word and
 every ordered pair of distinct occurrences of the same variable, replace
-both occurrences by h.  Summing ordered pairs yields the factor 2 of the
+both occurrences by h, keyed by the split left h mid h right that the
+middle matrix reads.  Summing ordered pairs yields the factor 2 of the
 second t-derivative automatically, with no symbolic expansion.
 
 Collapsing to commuting variables turns each word into its letter-count
@@ -71,12 +72,9 @@ def directional_derivative(p: Poly, i: int) -> Poly:
     return Poly._raw(p.g, out)
 
 
-def laplacian(p: Poly) -> Poly:
-    """Sum over variables of the twice-iterated directional derivative.
-
-    Every word of the result contains exactly two h letters.  Equals the
-    sum over i of the second t-derivative of p(..., x_i + t*h, ...) at 0.
-
+def _laplacian_splits(p: Poly) -> dict:
+    """Lap(p) keyed by the split (reversed left, mid, right) of each word
+    left h mid h right, which is unique, in the order of Lap(p)'s words.
     Contributions are summed as integer numerators over the least common
     denominator L of the coefficients, and each distinct value builds its
     Fraction once.  A running sum is zero exactly when the Fraction sum
@@ -99,34 +97,36 @@ def laplacian(p: Poly) -> Poly:
                 f"MAX_LAPLACIAN_LETTERS = {MAX_LAPLACIAN_LETTERS}"
             )
     L = math.lcm(*(c.denominator for c in p._terms.values()))
-    out: dict[Word, int] = {}
-    h = bytes([H_LETTER])
+    out: dict[tuple, int] = {}
     for w, c in p._terms.items():
         positions: dict[int, list[int]] = {}
         for pos, letter in enumerate(w):
             positions.setdefault(letter, []).append(pos)
         c2 = 2 * c.numerator * (L // c.denominator)
+        rw, size = w[::-1], len(w)
         for occ in positions.values():
-            if len(occ) < 2:
-                continue
-            for a in range(len(occ)):
-                pa = occ[a]
-                head = w[:pa] + h
-                for b in range(a + 1, len(occ)):
-                    pb = occ[b]
-                    new = head + w[pa + 1 : pb] + h + w[pb + 1 :]
-                    s = out.get(new, 0) + c2
+            for a, pa in enumerate(occ):
+                left = rw[size - pa :]
+                for pb in occ[a + 1 :]:
+                    split = (left, w[pa + 1 : pb], w[pb + 1 :])
+                    s = out.get(split, 0) + c2
                     if s:
-                        out[new] = s
+                        out[split] = s
                     else:
-                        del out[new]
+                        del out[split]
     # One Fraction per distinct value: equal coefficients are one object,
     # which is_symmetric compares by identity first.
     shared: dict[int, Fraction] = {}
-    return Poly._raw(p.g, {
-        w: shared.get(v) or shared.setdefault(v, Fraction(v, L))
-        for w, v in out.items()
-    })
+    return {k: shared.get(v) or shared.setdefault(v, Fraction(v, L)) for k, v in out.items()}
+
+
+def laplacian(p: Poly) -> Poly:
+    """Sum over variables of the twice-iterated directional derivative: the
+    second t-derivative of p(..., x_i + t*h, ...) at 0 summed over i.  Every
+    word of the result contains exactly two h letters."""
+    h = bytes([H_LETTER])
+    splits = _laplacian_splits(p).items()
+    return Poly._raw(p.g, {h.join((rl[::-1], mid, r)): c for (rl, mid, r), c in splits})
 
 
 class CommPoly:

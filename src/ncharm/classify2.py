@@ -65,6 +65,14 @@ __all__ = [
     "odd_sandwich_vanishing_check",
 ]
 
+# The most coefficients a sandwich table (k x g x k for odd_sandwich, the
+# k x k Gram table for sos) may hold; a larger one is refused before the
+# spanning list is reduced.  Timed per CLI process: odd-sandwich on
+# x1*x2*x3 took 0.26 s at 64^3 entries and 2.9 s and 147 MB at 200^3; sos
+# on x1*x2^2*x1, whose congruence grows as k^3, took 2.5 s and 56 MB at
+# 476^2 (18 variables) and 10 s and 142 MB at 851^2 (24 variables).
+MAX_SANDWICH_ENTRIES = 1 << 18
+
 
 def _combine(g: int, pairs) -> Poly:
     """sum c*q over (coefficient, polynomial) pairs, accumulated in one
@@ -236,6 +244,16 @@ def _split_symmetric(basis: HarmonicBasis):
     return s, u
 
 
+def _require_table(k: int, slots: int) -> None:
+    """Refuse a k x slots x k sandwich table past MAX_SANDWICH_ENTRIES,
+    before the spanning list is reduced."""
+    if k * slots * k > MAX_SANDWICH_ENTRIES:
+        raise ValueError(
+            f"a sandwich table of {k} x {slots} x {k} coefficients exceeds "
+            f"MAX_SANDWICH_ENTRIES = {MAX_SANDWICH_ENTRIES}"
+        )
+
+
 def _sandwich_coords(p: Poly, m: int, mid: int, span: RowSpan, index: dict) -> list:
     """Exact c[a][i][j] with p = sum c[a][i][j] v_a x_(i+1) v_j (mid 1) or
     p = sum c[a][0][j] v_a v_j (mid 0), where span holds the coefficient
@@ -296,6 +314,7 @@ def gram_from_neighbors(p: Poly) -> GramForm:
     if d is None or d % 2 or d < 2:
         raise ValueError("gram_from_neighbors requires homogeneous even degree >= 2")
     basis, vectors, perm = _arranged_harmonics(p.g, d // 2)
+    _require_table(len(vectors), 1)
     span, index = _row_span(vectors, basis.word_index)
     if span.rank != basis.dimension:
         raise AssertionError("arranged list fails to span the harmonic basis")
@@ -736,6 +755,7 @@ def odd_sandwich(p: Poly) -> OddSandwich:
     if not laplacian(p).is_zero():
         raise ValueError("odd_sandwich requires a harmonic polynomial")
     basis = harmonic_basis(p.g, (d - 1) // 2)
+    _require_table(basis.dimension, p.g)
     phi = _sandwich_coords(p, basis.d, 1, *_row_span(basis.elements, basis.word_index))
     result = OddSandwich(
         g=p.g,

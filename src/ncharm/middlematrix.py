@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from .calculus import _laplacian_splits
 from .ncpoly import H_LETTER, EvalPlan, MatrixPoint, Poly, Word, word_key
 
 if TYPE_CHECKING:
@@ -25,6 +26,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MiddleMatrixRep",
     "extract",
+    "laplacian_middle",
     "reconstruct",
     "zeroes_violation",
     "evaluate_middle",
@@ -56,6 +58,20 @@ class MiddleMatrixRep:
         return rows, cols, EvalPlan([self.Z[i][j]._terms for i, j in cells])
 
 
+def _assemble(g: int, splits: dict) -> MiddleMatrixRep:
+    """The representation whose cell (m_i, m_j) holds mid -> c for every
+    split (m_i, mid, m_j) -> c, in the order of splits."""
+    border = sorted({m for mi, _, mj in splits for m in (mi, mj)}, key=word_key)
+    index = {m: i for i, m in enumerate(border)}
+    n = len(border)
+    cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+    for (mi, mid, mj), c in splits.items():
+        # A word has one (left, mid, right) split, so no cell entry repeats.
+        cells[index[mi]][index[mj]][mid] = c
+    Z = tuple(tuple(Poly._raw(g, cell) for cell in row) for row in cells)
+    return MiddleMatrixRep(g=g, border=tuple(border), Z=Z)
+
+
 def extract(q: Poly) -> MiddleMatrixRep:
     """Middle-matrix representation of a symmetric, pure-quadratic-in-h q.
 
@@ -65,7 +81,7 @@ def extract(q: Poly) -> MiddleMatrixRep:
     """
     if not q.is_symmetric():
         raise ValueError("extract requires a symmetric polynomial")
-    splits = []
+    splits = {}
     for w, c in q._terms.items():
         first = w.find(H_LETTER)
         second = w.find(H_LETTER, first + 1)
@@ -74,17 +90,19 @@ def extract(q: Poly) -> MiddleMatrixRep:
                 "every word must contain exactly two h letters; "
                 f"offending word {w!r}"
             )
-        left, mid, right = w[:first], w[first + 1 : second], w[second + 1 :]
-        splits.append((left[::-1], mid, right, c))
-    border = sorted({m for s in splits for m in (s[0], s[2])}, key=word_key)
-    index = {m: i for i, m in enumerate(border)}
-    n = len(border)
-    cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for mi, mid, mj, c in splits:
-        # A word has one (left, mid, right) split, so no cell entry repeats.
-        cells[index[mi]][index[mj]][mid] = c
-    Z = tuple(tuple(Poly._raw(q.g, cell) for cell in row) for row in cells)
-    return MiddleMatrixRep(g=q.g, border=tuple(border), Z=Z)
+        splits[w[:first][::-1], w[first + 1 : second], w[second + 1 :]] = c
+    return _assemble(q.g, splits)
+
+
+def laplacian_middle(p: Poly) -> MiddleMatrixRep:
+    """extract(laplacian(p)) for a symmetric h-free p, built from the
+    Laplacian's splits without joining its words or splitting them again.
+
+    Lap(p) of a symmetric p is symmetric, so only p is tested.
+    """
+    if not p.is_symmetric():
+        raise ValueError("laplacian_middle requires a symmetric polynomial")
+    return _assemble(p.g, _laplacian_splits(p))
 
 
 def reconstruct(rep: MiddleMatrixRep) -> Poly:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import laplacian
-from .middlematrix import evaluate_middle, extract
+from .middlematrix import evaluate_middle, laplacian_middle
 from .ncpoly import EvalPlan, MatrixPoint, Poly
 
 __all__ = [
@@ -46,6 +46,14 @@ _MASK = (1 << 64) - 1
 # Python steps a matrix: 200 samples of a degree-4 Laplacian take 0.5 s and
 # 43 MB at n = 32, 2.3 s and 58 MB at n = 64, and 11 s and 142 MB at n = 128.
 MAX_SAMPLE_SIZE = 64
+
+# ldl_pivots runs its Schur update on the whole masked ndarray while more
+# than this many rows remain, and over Python lists after.  Whole random PSD
+# eliminations, lists alone / masked alone: 93 / 155 us at 8 rows, 280 /
+# 285 us at 16, 1321 / 609 us at 32.  Over the 32 middle matrices (3 to 60
+# rows) of the sweep benchmark's point ops, a switch at 8 or 16 took 5.6 ms,
+# at 32 6.9 ms, lists alone 11.7 ms and masked alone 6.2 ms.
+_LDL_LIST_MAX = 16
 
 
 class SplitMix64:
@@ -174,37 +182,60 @@ def _check_numeric_symmetry(M: np.ndarray, ndim: int = 2) -> np.ndarray:
 def ldl_pivots(M: np.ndarray, tol: float) -> tuple[list[float], bool]:
     """Diagonally pivoted LDL^T pivots and a PSD verdict.
 
-    Pivots on the largest remaining |diagonal| entry.  The matrix passes as
+    Pivots on the largest remaining |diagonal| entry, the first one on a
+    tie; a nan diagonal entry wins, as in np.argmax.  The matrix passes as
     positive semidefinite iff every pivot is >= -tol and, once the whole
     remaining diagonal falls inside [-tol, tol], the remaining off-diagonal
     entries do too (a zero row test, the numeric form of the zeroes screen).
+    Every Schur entry is a - (c_i*c_j)/d, so the pivots do not depend on
+    which update loop computed them.
     """
-    A = _check_numeric_symmetry(M).copy()
-    active = list(range(A.shape[0]))
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    A = _check_numeric_symmetry(M)
     pivots: list[float] = []
     psd = True
-    while active:
-        k_local = int(np.argmax([abs(A[k, k]) for k in active]))
-        k = active[k_local]
-        d = A[k, k]
+    m = A.shape[0]
+    if m > _LDL_LIST_MAX:
+        # Eliminated rows stay in place, masked out of the pivot search and
+        # the update, so each step is a few calls on the whole matrix.
+        active = np.ones(m, dtype=bool)
+        with np.errstate(all="ignore"):
+            while m > _LDL_LIST_MAX:
+                k = int(np.argmax(np.where(active, np.abs(A.diagonal()), -1.0)))
+                d = float(A[k, k])
+                if abs(d) <= tol:
+                    break
+                pivots.append(d)
+                if d < -tol:
+                    psd = False
+                active[k] = False
+                m -= 1
+                col = np.where(active, A[:, k], 0.0)
+                A -= np.outer(col, col) / d
+        A = A[np.ix_(active, active)]
+    # The lists hold the lower triangle, row i its entries 0..i: the
+    # matrix stays exactly symmetric, since c_i*c_j == c_j*c_i.
+    S = [row[: i + 1] for i, row in enumerate(A.tolist())]
+    while S:
+        diag = [abs(row[-1]) for row in S]
+        total = sum(diag)  # nan exactly when an entry is
+        if total == total:
+            k = diag.index(max(diag))
+        else:
+            k = next(i for i, v in enumerate(diag) if v != v)
+        d = S[k][k]
         if abs(d) <= tol:
-            # Whole remaining diagonal is numerically zero.
-            sub = A[np.ix_(active, active)]
-            off = sub - np.diag(np.diag(sub))
-            if float(np.max(np.abs(off), initial=0.0)) > tol:
+            # The whole remaining diagonal is numerically zero.
+            if max((abs(v) for row in S for v in row[:-1]), default=0.0) > tol:
                 psd = False
-            pivots.extend(float(A[i, i]) for i in active)
+            pivots.extend(row[-1] for row in S)
             break
-        pivots.append(float(d))
+        pivots.append(d)
         if d < -tol:
             psd = False
-        active.pop(k_local)
-        if active:
-            idx = np.array(active)
-            col = A[idx, k]
-            A[np.ix_(idx, idx)] -= np.outer(col, col) / d
-    if any(p < -tol for p in pivots):
-        psd = False
+        col = S.pop(k)[:k] + [row.pop(k) for row in S[k:]]
+        S = [[a - ci * cj / d for a, cj in zip(row, col)] for row, ci in zip(S, col)]
     return pivots, psd
 
 
@@ -316,31 +347,31 @@ def subharmonic_at_point(
 ) -> PointVerdict:
     """Decide positivity of the Laplacian of p at a fixed tuple X.
 
-    If the evaluated middle matrix Z(X) of the Laplacian is PSD the verdict
-    holds for every direction H (certificate).  Otherwise up to
-    cfg.h_samples directions are sampled for a concrete negative eigenvalue;
-    failing both, the honest answer is Unknown, because an indefinite Z(X)
-    does not by itself refute positivity at X.
+    Z(X) is evaluated from the middle matrix of the Laplacian, built
+    straight from p's word splits (laplacian_middle).  If Z(X) is PSD the
+    verdict holds for every direction H (certificate), and the Laplacian
+    itself is never built.  Otherwise up to cfg.h_samples directions are
+    sampled for a concrete negative eigenvalue of the Laplacian; failing
+    both, the honest answer is Unknown, because an indefinite Z(X) does not
+    by itself refute positivity at X.  p must be h-free, and symmetric as
+    laplacian_middle tests; otherwise ValueError.
     """
     if p.contains_h:
         raise ValueError("subharmonic_at_point expects an h-free polynomial")
-    if not p.is_symmetric():
-        raise ValueError("subharmonic_at_point requires a symmetric polynomial")
-    lap = laplacian(p)
-    rep = extract(lap)
+    rep = laplacian_middle(p)
     X = tuple(np.asarray(M, dtype=float) for M in X)
     n = X[0].shape[0] if X else 1
     with np.errstate(over="ignore", invalid="ignore"):
         Zx = evaluate_middle(rep, X)
-    _, psd = ldl_pivots(Zx, cfg.tol) if Zx.size else ([], True)
-    if psd:
+    if ldl_pivots(Zx, cfg.tol)[1]:
         return PointVerdict(kind="CertifiedAllH")
 
     def draw(samples):
         Hs = [_draw_slot(cfg, n, s, p.g) for s in samples]
         return Hs, [np.stack(Hs), *X]
 
-    for s, H, eigs in _search(EvalPlan.of(lap), _chunks(cfg.h_samples), draw):
+    plan = EvalPlan.of(laplacian(p))
+    for s, H, eigs in _search(plan, _chunks(cfg.h_samples), draw):
         if eigs[0] < -cfg.tol:
             return PointVerdict(
                 kind="CounterexampleH",

@@ -148,6 +148,42 @@ def evaluate_oracle(p: Poly, pt: MatrixPoint) -> np.ndarray:
     return acc
 
 
+def ldl_pivots_oracle(M, tol: float):
+    """Diagonally pivoted LDL^T by per-pivot numpy calls: the pivot is
+    np.argmax of the remaining |diagonal| and the Schur update one
+    np.outer on the np.ix_ block.  This is the library's former loop, kept
+    because its pivots are the ones ldl_pivots must reproduce bit for bit."""
+    from ncharm.positivity import _check_numeric_symmetry
+
+    A = _check_numeric_symmetry(M).copy()
+    active = list(range(A.shape[0]))
+    pivots: list[float] = []
+    psd = True
+    while active:
+        k_local = int(np.argmax([abs(A[k, k]) for k in active]))
+        k = active[k_local]
+        d = A[k, k]
+        if abs(d) <= tol:
+            # Whole remaining diagonal is numerically zero.
+            sub = A[np.ix_(active, active)]
+            off = sub - np.diag(np.diag(sub))
+            if float(np.max(np.abs(off), initial=0.0)) > tol:
+                psd = False
+            pivots.extend(float(A[i, i]) for i in active)
+            break
+        pivots.append(float(d))
+        if d < -tol:
+            psd = False
+        active.pop(k_local)
+        if active:
+            idx = np.array(active)
+            col = A[idx, k]
+            A[np.ix_(idx, idx)] -= np.outer(col, col) / d
+    if any(p < -tol for p in pivots):
+        psd = False
+    return pivots, psd
+
+
 def rank_oracle(rows) -> int:
     """Textbook dense Gaussian elimination rank over Fractions."""
     rows = [[Fraction(v) for v in r] for r in rows]

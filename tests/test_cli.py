@@ -394,6 +394,20 @@ class TestInputDomain:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("argv, table", [
+        (["odd-sandwich", "--vars", "65", "x1*x2*x3"], "65 x 65 x 65"),
+        (["sos", "--vars", "19", "x1*x2^2*x1"], "531 x 1 x 531"),
+    ])
+    def test_sandwich_table_past_cap(self, argv, table):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: a sandwich table of {table} coefficients exceeds "
+                       "MAX_SANDWICH_ENTRIES = 262144\n")
+
+    def test_sandwich_table_at_cap(self):
+        code, out, _ = run(["odd-sandwich", "--vars", "64", "x1*x2*x3"])
+        assert (code, out) == (0, "phi[1][x2][3] = 1\n")
+
     def test_oversized_basis_exits_before_allocating(self):
         # A fresh interpreter limited to 512 MB of address space: building
         # the 1.6e9 dense entries would end in a MemoryError traceback.

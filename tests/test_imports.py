@@ -78,7 +78,7 @@ def test_exact_command_never_loads_numpy(command):
     assert out
 
 
-@pytest.mark.parametrize("module", ["ncharm.ncpoly", "ncharm.calculus"])
+@pytest.mark.parametrize("module", ["ncharm.ncpoly", "ncharm.calculus", "ncharm.middlematrix"])
 def test_exact_module_import_loads_no_numpy(module):
     # The float plan lives in ncpoly, so numpy must stay a call-time import.
     proc = run_python(f"import sys, {module}; print('numpy' in sys.modules)")

@@ -1,4 +1,6 @@
+import functools
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from ncharm import (
     subharmonic_at_point,
     symmetrize,
 )
+from ncharm import calculus, positivity
 from ncharm.positivity import (
     SplitMix64,
     _check_numeric_symmetry,
@@ -24,7 +27,7 @@ from ncharm.positivity import (
     substream,
 )
 
-from _helpers import random_symmetric_homogeneous
+from _helpers import ldl_pivots_oracle, random_symmetric_homogeneous
 
 
 REGION_FAMILY = "x1^3 - x1*x2^2 - x2^2*x1 + x2*x1*x2"
@@ -92,6 +95,108 @@ class TestLdlPivots:
                 assert me >= -10 * tol
             if me >= tol:
                 assert psd
+
+
+LDL_KINDS = ("psd", "rank_deficient", "zero_block", "indefinite", "ties", "overflow")
+
+
+def _ldl_matrix(rnd: random.Random, kind: str, n: int) -> np.ndarray:
+    def uniform(rows, cols):
+        return np.array([[rnd.uniform(-1, 1) for _ in range(cols)] for _ in range(rows)])
+
+    if kind == "psd":
+        B = uniform(n, n)
+        return B @ B.T
+    if kind == "rank_deficient":
+        # Rounding leaves a tail of |diagonal| entries far below tol.
+        B = uniform(n, rnd.randint(0, n - 1)).reshape(n, -1)
+        return B @ B.T
+    if kind == "zero_block":
+        # Exactly zero rows and columns, two of them joined by an entry
+        # that the zero row test passes or fails.
+        B = uniform(n, rnd.randint(1, n))
+        zeros = rnd.sample(range(n), rnd.randint(1, n))
+        B[zeros] = 0.0
+        M = B @ B.T
+        if len(zeros) > 1:
+            i, j = zeros[:2]
+            M[i, j] = M[j, i] = rnd.choice([1e-12, -1e-12, 0.25])
+        return M
+    if kind == "indefinite":
+        A = uniform(n, n)
+        return A + A.T
+    if kind == "ties":
+        A = np.array([[float(rnd.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
+        return A + A.T
+    # overflow: Schur updates reach inf and inf - inf = nan.
+    values = [1e200, -1e200, 1e150, 3.0, 1e-9, 0.0]
+    A = np.array([[rnd.choice(values) for _ in range(n)] for _ in range(n)])
+    return np.triu(A) + np.triu(A, 1).T
+
+
+@functools.cache
+def _ldl_cases():
+    """1,200 seeded matrices of size 1-80, a quarter of them above 24."""
+    rnd = random.Random(46)
+    cases = []
+    for i in range(1200):
+        n = rnd.randint(25, 80) if i % 4 == 0 else rnd.randint(1, 24)
+        kind = LDL_KINDS[i % len(LDL_KINDS)]
+        cases.append((kind, _ldl_matrix(rnd, kind, n)))
+    return cases
+
+
+def _ldl_agrees(M, tol=1e-9):
+    with np.errstate(all="ignore"):
+        want = ldl_pivots_oracle(M, tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ldl_pivots(M, tol)
+    return ([p.hex() for p in got[0]], got[1]) == ([p.hex() for p in want[0]], want[1])
+
+
+class TestLdlOracle:
+    def test_cases_cover_both_loops_and_every_branch(self):
+        sizes = [M.shape[0] for _, M in _ldl_cases()]
+        assert min(sizes) == 1 and max(sizes) == 80
+        assert sum(n <= positivity._LDL_LIST_MAX for n in sizes) >= 600
+        assert sum(n > positivity._LDL_LIST_MAX for n in sizes) >= 300
+        with np.errstate(all="ignore"):
+            results = [ldl_pivots_oracle(M, 1e-9) for _, M in _ldl_cases()[:300]]
+        assert {psd for _, psd in results} == {True, False}
+        assert any(any(p != p for p in pivots) for pivots, _ in results)
+        assert any(abs(pivots[-1]) <= 1e-9 for pivots, _ in results)
+
+    def test_pivots_bit_equal_without_warnings(self):
+        bad = [(kind, M.shape[0]) for kind, M in _ldl_cases() if not _ldl_agrees(M)]
+        assert bad == []
+
+    @pytest.mark.parametrize("switch", [0, 10**6])
+    def test_either_loop_alone_is_bit_equal(self, monkeypatch, switch):
+        # 0 runs every update on the masked ndarray; 10**6 every one on lists.
+        monkeypatch.setattr(positivity, "_LDL_LIST_MAX", switch)
+        cases = _ldl_cases()[::5]
+        bad = [(kind, M.shape[0]) for kind, M in cases if not _ldl_agrees(M)]
+        assert bad == []
+
+    def test_overflow_repro_prints_nothing(self):
+        M = [[2e-9, 1e200, 1e200], [1e200, 1e-9, 1e-9], [1e200, 1e-9, 1e-9]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pivots, psd = ldl_pivots(M, 1e-9)
+            verdict = subharmonic_at_point(
+                parse("x1^2*x2^2*x1^2 + x2^6 + x1^6", 2),
+                ([[1e60, 1], [1, 1e-60]], [[1e-60, 1e60], [1e60, 2]]),
+                SampleConfig(),
+            )
+        assert [p.hex() for p in pivots] == ["0x1.12e0be826d695p-29", "-inf", "nan"]
+        assert psd is False
+        assert verdict.kind == "Unknown"
+
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+    def test_rejects_tol_below_zero(self, tol):
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            ldl_pivots(np.eye(2), tol)
 
 
 class TestMinEigenvalue:
@@ -321,6 +426,21 @@ class TestSubharmonicAtPoint:
         for _ in range(5):
             X = self._random_X(rnd, rnd.randint(1, 3))
             assert subharmonic_at_point(p, X, cfg).kind == "CertifiedAllH"
+
+    def test_certified_point_never_builds_the_laplacian(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("laplacian called")
+
+        monkeypatch.setattr(calculus, "laplacian", refuse)
+        monkeypatch.setattr(positivity, "laplacian", refuse)
+        rnd = random.Random(47)
+        p = parse("x1*x2^2*x1 + x2*x1^2*x2", 2)
+        for n in (1, 2, 5):
+            X = self._random_X(rnd, n)
+            assert subharmonic_at_point(p, X, SampleConfig(seed=8)).kind == "CertifiedAllH"
+        # A point that is not certified searches directions of the Laplacian.
+        with pytest.raises(AssertionError, match="laplacian called"):
+            subharmonic_at_point(parse("x1^3", 2), TestSubharmonicAtPoint.LATE_X, SampleConfig())
 
     def test_rejects_h_and_nonsymmetric(self):
         cfg = SampleConfig(seed=6)

@@ -23,7 +23,7 @@ from ncharm import (
 from ncharm._exactla import RowSpan
 from ncharm.classify2 import _combine
 from ncharm.cli import emit_json
-from ncharm.middlematrix import extract, reconstruct
+from ncharm.middlematrix import extract, laplacian_middle, reconstruct
 
 from _helpers import express_oracle, laplacian_oracle, rank_oracle
 
@@ -124,6 +124,40 @@ def test_laplacian_matches_oracle(p):
 @given(two_h_symmetric())
 def test_middle_matrix_round_trip(q):
     assert reconstruct(extract(q)) == q
+
+
+@st.composite
+def symmetric_h_free(draw):
+    """q + q^T over g <= 4 letters.  q's words are l x m x r for one or
+    two templates (l, m, r), each with up to four distinct letters x and
+    coefficients +-1, so that the Laplacian word l h m h r sums terms that
+    cancel and come back."""
+    g = draw(st.integers(1, 4))
+    piece = st.lists(st.integers(1, g), max_size=2).map(bytes)
+    letters = st.lists(st.tuples(st.integers(1, g), st.sampled_from([1, -1])),
+                       min_size=min(g, 3), max_size=4, unique_by=lambda t: t[0])
+    terms = {}
+    for left, mid, right in draw(st.lists(st.tuples(piece, piece, piece),
+                                          min_size=1, max_size=2)):
+        for x, c in draw(letters):
+            w = left + bytes([x]) + mid + bytes([x]) + right
+            terms[w] = terms.get(w, 0) + c
+    q = Poly(g, terms)
+    return q + q.transpose()
+
+
+@bounded
+# Lap words h*h*x2 and x2*h*h are deleted and inserted again.
+@example(parse("x1^2*x2 - x2^3 + x3^2*x2 + x2*x1^2 + x2*x3^2", 3))
+@given(symmetric_h_free())
+def test_laplacian_middle_equals_extract_of_laplacian(p):
+    got, want = laplacian_middle(p), extract(laplacian(p))
+    assert (got.g, got.border) == (want.g, want.border)
+    for got_row, want_row in zip(got.Z, want.Z):
+        for z, w in zip(got_row, want_row):
+            assert list(z._terms.items()) == list(w._terms.items())
+    values = [c for row in got.Z for z in row for c in z._terms.values()]
+    assert len({id(c) for c in values}) == len(set(values))
 
 
 @bounded
