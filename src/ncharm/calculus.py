@@ -7,10 +7,14 @@ derivatives per variable and sums over variables; each resulting word
 carries exactly two h letters.
 
 The Laplacian is computed by direct double replacement: for every word and
-every ordered pair of distinct occurrences of the same variable, replace
-both occurrences by h, keyed by the split left h mid h right that the
-middle matrix reads.  Summing ordered pairs yields the factor 2 of the
-second t-derivative automatically, with no symbolic expansion.
+every pair of distinct occurrences of the same variable, replace both
+occurrences by h and add twice the word's coefficient, the factor 2 of the
+second t-derivative, with no symbolic expansion.  Each contribution is
+keyed by an integer code of its output word: a leading 1 byte, then one
+byte per letter, so the code of a replacement is the word's code less the
+two letters' shifted values (h is letter 0, and a letter below 256 fills
+one byte).  Coefficients are summed as integer numerators over one common
+denominator, and each surviving code is decoded to its word once.
 
 Collapsing to commuting variables turns each word into its letter-count
 exponent vector; under that collapse the free Laplacian becomes h^2 times
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .ncpoly import H_LETTER, Poly, Word
@@ -72,14 +77,18 @@ def directional_derivative(p: Poly, i: int) -> Poly:
     return Poly._raw(p.g, out)
 
 
-def _laplacian_splits(p: Poly) -> dict:
-    """Lap(p) keyed by the split (reversed left, mid, right) of each word
-    left h mid h right, which is unique, in the order of Lap(p)'s words.
-    Contributions are summed as integer numerators over the least common
-    denominator L of the coefficients, and each distinct value builds its
-    Fraction once.  A running sum is zero exactly when the Fraction sum
-    would be, so terms are deleted and reinserted, and the result ordered,
-    as a Fraction accumulation would leave them.
+def _laplacian_terms(p: Poly) -> dict:
+    """The terms of Lap(p), word -> coefficient, in their order.
+
+    Each contribution is keyed by the integer code of its output word:
+    int.from_bytes(b"\\x01" + w) less the shifted values of the two
+    replaced letters, since h is letter 0.  The leading 1 keeps words of
+    different lengths, and words that start with h, apart.  Contributions
+    are summed as integer numerators over the least common denominator L
+    of the coefficients, and each distinct value builds its Fraction once.
+    A running sum is zero exactly when the Fraction sum would be, so terms
+    are deleted and reinserted, and the result ordered, as a Fraction
+    accumulation over the words would leave them.
     """
     _require_h_free(p, "laplacian")
     # Each word yields one word of its length per pair of equal letters, so
@@ -97,36 +106,39 @@ def _laplacian_splits(p: Poly) -> dict:
                 f"MAX_LAPLACIAN_LETTERS = {MAX_LAPLACIAN_LETTERS}"
             )
     L = math.lcm(*(c.denominator for c in p._terms.values()))
-    out: dict[tuple, int] = {}
+    out: dict[int, int] = {}
     for w, c in p._terms.items():
-        positions: dict[int, list[int]] = {}
-        for pos, letter in enumerate(w):
-            positions.setdefault(letter, []).append(pos)
+        # The shifted value of each letter, grouped by letter in order of
+        # first appearance; a letter is below 256, so it owns one byte.
+        shifted: dict[int, list[int]] = {}
+        shift = 8 * len(w)
+        for letter in w:
+            shift -= 8
+            shifted.setdefault(letter, []).append(letter << shift)
+        code = int.from_bytes(b"\x01" + w, "big")
         c2 = 2 * c.numerator * (L // c.denominator)
-        rw, size = w[::-1], len(w)
-        for occ in positions.values():
-            for a, pa in enumerate(occ):
-                left = rw[size - pa :]
-                for pb in occ[a + 1 :]:
-                    split = (left, w[pa + 1 : pb], w[pb + 1 :])
-                    s = out.get(split, 0) + c2
-                    if s:
-                        out[split] = s
-                    else:
-                        del out[split]
+        for values in shifted.values():
+            for va, vb in combinations(values, 2):
+                key = code - va - vb
+                s = out.get(key, 0) + c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
     # One Fraction per distinct value: equal coefficients are one object,
     # which is_symmetric compares by identity first.
-    shared: dict[int, Fraction] = {}
-    return {k: shared.get(v) or shared.setdefault(v, Fraction(v, L)) for k, v in out.items()}
+    shared = {v: Fraction(v, L) for v in set(out.values())}
+    return {
+        k.to_bytes((k.bit_length() + 7) >> 3, "big")[1:]: shared[v]
+        for k, v in out.items()
+    }
 
 
 def laplacian(p: Poly) -> Poly:
     """Sum over variables of the twice-iterated directional derivative: the
     second t-derivative of p(..., x_i + t*h, ...) at 0 summed over i.  Every
     word of the result contains exactly two h letters."""
-    h = bytes([H_LETTER])
-    splits = _laplacian_splits(p).items()
-    return Poly._raw(p.g, {h.join((rl[::-1], mid, r)): c for (rl, mid, r), c in splits})
+    return Poly._raw(p.g, _laplacian_terms(p))
 
 
 class CommPoly:

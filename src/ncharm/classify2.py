@@ -22,12 +22,19 @@ classification above is specific to two variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ._exactla import RowSpan, SparseRref, congruence_diagonalize, sparse_nullspace
+from ._exactla import (
+    MAX_NULLSPACE_ENTRIES,
+    RowSpan,
+    SparseRref,
+    congruence_diagonalize,
+    sparse_nullspace,
+)
 from .calculus import directional_derivative, laplacian
 from .harmonicspace import (
     HarmonicBasis,
@@ -244,14 +251,32 @@ def _split_symmetric(basis: HarmonicBasis):
     return s, u
 
 
-def _require_table(k: int, slots: int) -> None:
+def _require_table(k: int, slots: int, qualifier: str = "") -> None:
     """Refuse a k x slots x k sandwich table past MAX_SANDWICH_ENTRIES,
     before the spanning list is reduced."""
     if k * slots * k > MAX_SANDWICH_ENTRIES:
         raise ValueError(
-            f"a sandwich table of {k} x {slots} x {k} coefficients exceeds "
+            f"a sandwich table of {qualifier}{k} x {slots} x {k} coefficients exceeds "
             f"MAX_SANDWICH_ENTRIES = {MAX_SANDWICH_ENTRIES}"
         )
+
+
+def _harmonic_dimension_floor(g: int, m: int) -> int:
+    """A lower bound on the dimension of the degree-m harmonics in g
+    variables, exact for m <= 2: the Laplacian maps the g^m words into the
+    span of C(m, 2) * g^(m-2) words, so its rank is at most that."""
+    return g**m if m < 2 else max(0, g**m - math.comb(m, 2) * g ** (m - 2))
+
+
+def _require_basis_table(g: int, m: int, slots: int) -> None:
+    """Refuse a k x slots x k table over the degree-m harmonics in g
+    variables before their basis is built, from the floor of k.  A floor
+    whose nullspace already exceeds MAX_NULLSPACE_ENTRIES is left to
+    harmonic_basis, which refuses it before building the basis, so an
+    input refused before this check keeps its message."""
+    k = _harmonic_dimension_floor(g, m)
+    if k * g**m <= MAX_NULLSPACE_ENTRIES:
+        _require_table(k, slots, "" if m <= 2 else "at least ")
 
 
 def _sandwich_coords(p: Poly, m: int, mid: int, span: RowSpan, index: dict) -> list:
@@ -313,6 +338,7 @@ def gram_from_neighbors(p: Poly) -> GramForm:
     d = p.homogeneous_degree()
     if d is None or d % 2 or d < 2:
         raise ValueError("gram_from_neighbors requires homogeneous even degree >= 2")
+    _require_basis_table(p.g, d // 2, 1)
     basis, vectors, perm = _arranged_harmonics(p.g, d // 2)
     _require_table(len(vectors), 1)
     span, index = _row_span(vectors, basis.word_index)
@@ -754,6 +780,7 @@ def odd_sandwich(p: Poly) -> OddSandwich:
         raise ValueError("odd_sandwich requires homogeneous odd degree >= 3")
     if not laplacian(p).is_zero():
         raise ValueError("odd_sandwich requires a harmonic polynomial")
+    _require_basis_table(p.g, (d - 1) // 2, p.g)
     basis = harmonic_basis(p.g, (d - 1) // 2)
     _require_table(basis.dimension, p.g)
     phi = _sandwich_coords(p, basis.d, 1, *_row_span(basis.elements, basis.word_index))

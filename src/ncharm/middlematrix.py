@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .calculus import _laplacian_splits
+from .calculus import _laplacian_terms
 from .ncpoly import H_LETTER, EvalPlan, MatrixPoint, Poly, Word, word_key
 
 if TYPE_CHECKING:
@@ -58,14 +58,25 @@ class MiddleMatrixRep:
         return rows, cols, EvalPlan([self.Z[i][j]._terms for i, j in cells])
 
 
-def _assemble(g: int, splits: dict) -> MiddleMatrixRep:
+def _assemble(g: int, terms: dict) -> MiddleMatrixRep:
     """The representation whose cell (m_i, m_j) holds mid -> c for every
-    split (m_i, mid, m_j) -> c, in the order of splits."""
-    border = sorted({m for mi, _, mj in splits for m in (mi, mj)}, key=word_key)
+    term m_i^T h mid h m_j -> c, in the order of terms.  Each word must
+    contain exactly two h letters; otherwise ValueError."""
+    splits = []
+    for w, c in terms.items():
+        try:
+            left, mid, right = w.split(_H)
+        except ValueError:
+            raise ValueError(
+                "every word must contain exactly two h letters; "
+                f"offending word {w!r}"
+            ) from None
+        splits.append((left[::-1], mid, right, c))
+    border = sorted({m for mi, _, mj, _ in splits for m in (mi, mj)}, key=word_key)
     index = {m: i for i, m in enumerate(border)}
     n = len(border)
     cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for (mi, mid, mj), c in splits.items():
+    for mi, mid, mj, c in splits:
         # A word has one (left, mid, right) split, so no cell entry repeats.
         cells[index[mi]][index[mj]][mid] = c
     Z = tuple(tuple(Poly._raw(g, cell) for cell in row) for row in cells)
@@ -81,28 +92,18 @@ def extract(q: Poly) -> MiddleMatrixRep:
     """
     if not q.is_symmetric():
         raise ValueError("extract requires a symmetric polynomial")
-    splits = {}
-    for w, c in q._terms.items():
-        first = w.find(H_LETTER)
-        second = w.find(H_LETTER, first + 1)
-        if first < 0 or second < 0 or w.find(H_LETTER, second + 1) >= 0:
-            raise ValueError(
-                "every word must contain exactly two h letters; "
-                f"offending word {w!r}"
-            )
-        splits[w[:first][::-1], w[first + 1 : second], w[second + 1 :]] = c
-    return _assemble(q.g, splits)
+    return _assemble(q.g, q._terms)
 
 
 def laplacian_middle(p: Poly) -> MiddleMatrixRep:
-    """extract(laplacian(p)) for a symmetric h-free p, built from the
-    Laplacian's splits without joining its words or splitting them again.
+    """extract(laplacian(p)) for a symmetric h-free p, assembled from the
+    Laplacian's terms without building the Laplacian as a Poly.
 
     Lap(p) of a symmetric p is symmetric, so only p is tested.
     """
     if not p.is_symmetric():
         raise ValueError("laplacian_middle requires a symmetric polynomial")
-    return _assemble(p.g, _laplacian_splits(p))
+    return _assemble(p.g, _laplacian_terms(p))
 
 
 def reconstruct(rep: MiddleMatrixRep) -> Poly:

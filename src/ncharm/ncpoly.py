@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -211,9 +212,12 @@ class Poly:
 
     def is_symmetric(self) -> bool:
         """True iff p equals its transpose, exactly."""
+        # Coefficients are normalised, so equal ones have equal numerators
+        # and denominators; comparing those skips Fraction.__eq__.
         for w, c in self._terms.items():
             d = self._terms.get(w[::-1])
-            if d is not c and d != c:
+            if d is not c and (d is None or d.numerator != c.numerator
+                               or d.denominator != c.denominator):
                 return False
         return True
 
@@ -645,24 +649,26 @@ class EvalPlan:
     def __init__(self, groups: Sequence[dict]):
         import numpy as np
 
+        first = [0]
+        for terms in groups:
+            first.append(first[-1] + len(terms))
         # kids[d] numbers the nodes of depth d + 1 in order of appearance,
         # keyed by parent << 8 | letter, the parent numbered within depth d.
-        longest = max((max(map(len, terms), default=0) for terms in groups), default=0)
-        kids: list[dict] = [{} for _ in range(longest)]
-        depth, index, first = [], [], [0]
-        for terms in groups:
-            for w in terms:
-                node = 0
-                for level, x in zip(kids, w):
-                    node = level.setdefault(node << 8 | x, len(level))
-                depth.append(len(w))
-                index.append(node)
-            first.append(len(index))
-        coef = [_float_coefficient(c) for terms in groups for c in terms.values()]
+        # A repeated word adds no node, so each distinct word is walked
+        # once, in order of first appearance.
+        node_of = dict.fromkeys(chain.from_iterable(groups))
+        kids: list[dict] = [{} for _ in range(max(map(len, node_of), default=0))]
+        for w in node_of:
+            node = 0
+            for level, x in zip(kids, w):
+                node = level.setdefault(node << 8 | x, len(level))
+            node_of[w] = node
         # Nodes of depth d are numbered from starts[d]; node 0 is the root.
         starts = [0, 1]
         for level in kids:
             starts.append(starts[-1] + len(level))
+        for w, k in node_of.items():
+            node_of[w] = starts[len(w)] + k
         self.letters = tuple(sorted({key & 255 for level in kids for key in level}))
         slot = {x: i for i, x in enumerate(self.letters)}
         self._starts = starts
@@ -671,12 +677,16 @@ class EvalPlan:
         self._slot = np.array([0] + [slot[key & 255] for level in kids for key in level],
                               dtype=np.intp)
         self._first = first
-        self._node = [starts[d] + k for d, k in zip(depth, index)]
-        self._coef = coef
+        self._node = [node_of[w] for terms in groups for w in terms]
+        # Each coefficient object is converted once: terms often share one.
+        floats = {id(c): c for terms in groups for c in terms.values()}
+        for k, c in floats.items():
+            floats[k] = _float_coefficient(c)
+        self._coef = [floats[id(c)] for terms in groups for c in terms.values()]
         levels = [(a, b, self._parent[a:b], self._slot[a:b])
                   for a, b in zip(starts[1:-1], starts[2:])]
         self._whole = _Chunk(starts[-1], len(self.letters), levels,
-                             self._tables(0, len(coef), self._node))
+                             self._tables(0, len(self._coef), self._node))
 
     @classmethod
     def of(cls, p: Poly) -> "EvalPlan":

@@ -14,7 +14,7 @@ from ncharm import (
     word,
 )
 
-from ncharm import calculus
+from ncharm import calculus, ncpoly
 
 from _helpers import laplacian_fraction_reference, laplacian_oracle, random_poly
 
@@ -118,6 +118,35 @@ class TestLaplacian:
             assert list(lap._terms.items()) == list(
                 laplacian_fraction_reference(p)._terms.items()
             )
+
+    def test_term_order_with_edge_letters(self):
+        # Words of lengths 0 to 8 over x1, x2, x253 and x254 (MAX_VARS), with
+        # repeats at both ends, so Lap words start and end with h and the
+        # top letter value fills its whole byte of the integer code.
+        rnd = random.Random(29)
+        letters = [1, 2, 253, 254]
+        for _ in range(200):
+            terms = {}
+            for _ in range(rnd.randint(1, 10)):
+                w = bytes(rnd.choice(letters) for _ in range(rnd.randint(0, 8)))
+                if w and rnd.random() < 0.5:
+                    w = w[-1:] + w + w[:1]
+                terms[w] = Fraction(rnd.randint(-9, 9), rnd.choice([1, 2, 3, 5]))
+            p = Poly(254, terms)
+            lap = laplacian(p)
+            assert lap == laplacian_oracle(p)
+            assert list(lap._terms.items()) == list(
+                laplacian_fraction_reference(p)._terms.items()
+            )
+        # h*x254*h takes 2 from x1*x254*x1 and 2 from x254^3.
+        assert list(laplacian(parse("x254^2 + x1*x254*x1 + x254^3", 254))._terms.items()) == [
+            (word(0, 0), 2), (word(0, 254, 0), 4), (word(0, 0, 254), 2), (word(254, 0, 0), 2),
+        ]
+
+    def test_letters_fit_one_byte_of_the_integer_code(self):
+        # The expansion keys each word by its letters, one byte each.
+        assert ncpoly.MAX_VARS < 256
+        assert ncpoly.H_LETTER == 0
 
     def test_equal_coefficients_share_one_fraction(self):
         rnd = random.Random(28)

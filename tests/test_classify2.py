@@ -33,7 +33,7 @@ from ncharm import (
     sos_decompose,
     word,
 )
-from ncharm import positivity
+from ncharm import classify2, positivity
 from ncharm._exactla import is_psd_rational
 from ncharm.classify2 import _laplacian_squares
 
@@ -591,6 +591,30 @@ class TestOddSandwich:
             odd_sandwich(parse("x1^3", 2))
         with pytest.raises(ValueError):
             odd_sandwich(parse("x1^4", 2))
+
+    @pytest.mark.parametrize("build, text, g, table", [
+        (odd_sandwich, "x1*x2*x3*x4*x5", 60, "3599 x 60 x 3599"),
+        (gram_from_neighbors, "x1*x2^2*x1", 30, "899 x 1 x 899"),
+        # Past half degree 2 the floor is a bound, and the message says so.
+        (odd_sandwich, "x1*x2*x3*x4*x5*x6*x7", 16, "at least 4048 x 16 x 4048"),
+    ])
+    def test_table_past_cap_refused_before_the_basis(self, monkeypatch, build, text, g,
+                                                     table):
+        def refuse(*args):
+            raise AssertionError("harmonic_basis ran")
+
+        monkeypatch.setattr(classify2, "harmonic_basis", refuse)
+        with pytest.raises(ValueError, match=f"a sandwich table of {table} "
+                                             "coefficients exceeds MAX_SANDWICH_ENTRIES"):
+            build(parse(text, g))
+
+    def test_dimension_floor(self):
+        # Exact for m <= 2, a lower bound above.
+        for g in (1, 2, 3):
+            for m in (1, 2, 3, 4):
+                floor = classify2._harmonic_dimension_floor(g, m)
+                dim = harmonic_basis(g, m).dimension
+                assert floor == dim if m <= 2 else 0 <= floor <= dim
 
     def test_vanishing_conditions_on_harmonics(self):
         for d in (3, 5, 7):

@@ -404,6 +404,14 @@ class TestInputDomain:
         assert err == (f"error: a sandwich table of {table} coefficients exceeds "
                        "MAX_SANDWICH_ENTRIES = 262144\n")
 
+    def test_sandwich_table_refused_before_the_basis(self):
+        # The 3,599-element degree-2 basis took 3.7 s to build before the
+        # table was refused.
+        code, out, err = run(["odd-sandwich", "--vars", "60", "x1*x2*x3*x4*x5"])
+        assert (code, out) == (2, "")
+        assert err == ("error: a sandwich table of 3599 x 60 x 3599 coefficients "
+                       "exceeds MAX_SANDWICH_ENTRIES = 262144\n")
+
     def test_sandwich_table_at_cap(self):
         code, out, _ = run(["odd-sandwich", "--vars", "64", "x1*x2*x3"])
         assert (code, out) == (0, "phi[1][x2][3] = 1\n")

@@ -12,6 +12,7 @@ from ncharm import (
     Poly,
     degree_profile,
     evaluate,
+    laplacian,
     parse,
     symmetrize,
     word,
@@ -19,9 +20,16 @@ from ncharm import (
 from ncharm.cli import emit_json
 from ncharm import ncpoly
 from ncharm.harmonicspace import gamma_power_parts
+from ncharm.middlematrix import laplacian_middle
 from ncharm.ncpoly import EvalPlan
 
-from _helpers import evaluate_oracle, mul_oracle, random_poly
+from _helpers import (
+    eval_plan_bytes,
+    eval_plan_oracle,
+    evaluate_oracle,
+    mul_oracle,
+    random_poly,
+)
 
 
 x1 = Poly.variable(2, 1)
@@ -181,6 +189,19 @@ class TestTranspose:
             p = random_poly(rnd, 2, 3, with_h=True)
             q = random_poly(rnd, 2, 3, with_h=True)
             assert (p * q).transpose() == q.transpose() * p.transpose()
+
+    def test_is_symmetric_compares_values_not_objects(self):
+        w, rw = word(1, 2, 2), word(2, 2, 1)
+        # Equal values in distinct objects, as Poly._raw may hold them.
+        assert Poly._raw(2, {w: Fraction(1, 2), rw: Fraction(2, 4)}).is_symmetric()
+        assert not Poly._raw(2, {w: Fraction(1, 2), rw: Fraction(3, 2)}).is_symmetric()
+        assert not Poly._raw(2, {w: Fraction(1, 2), rw: Fraction(1, 3)}).is_symmetric()
+        assert not Poly._raw(2, {w: Fraction(1, 2)}).is_symmetric()
+        rnd = random.Random(10)
+        for _ in range(100):
+            p = random_poly(rnd, 2, 4, with_h=True)
+            for q in (p, p + p.transpose(), p - p.transpose()):
+                assert q.is_symmetric() == (q == q.transpose())
 
     def test_ring_laws_random(self):
         rnd = random.Random(9)
@@ -381,6 +402,54 @@ class TestEvalPlanKernel:
         finally:
             tracemalloc.stop()
         assert peak <= ncpoly._RUN_BYTES
+
+
+class TestEvalPlanCompile:
+    """The constructor walks each distinct word once and converts each
+    coefficient object once; its arrays and tables equal, byte for byte,
+    those of the former walk of every term level by level."""
+
+    def _assert_same(self, groups):
+        got = eval_plan_bytes(EvalPlan(groups))
+        assert got == eval_plan_bytes(eval_plan_oracle(groups))
+
+    def test_repeated_words_shared_fraction_empty_words_and_h(self):
+        half, third = Fraction(1, 2), Fraction(-1, 3)
+        self._assert_same([
+            {word(1, 2): half, b"": third, word(0, 1): half},
+            {},
+            {word(1, 2): third, word(2): half, b"": half},
+            {b"": Fraction(1, 2), word(0, 1): Fraction(1, 2), word(0, 0): third},
+            {word(1, 2): half},
+        ])
+        self._assert_same([{b"": half}])
+        self._assert_same([{}])
+        self._assert_same([])
+
+    def test_random_groups(self):
+        rnd = random.Random(44)
+        shared = [Fraction(rnd.randint(-9, 9) or 1, rnd.randint(1, 7)) for _ in range(4)]
+        for _ in range(200):
+            g = rnd.randint(1, 3)
+            words = [bytes(rnd.randint(0, g) for _ in range(rnd.randint(0, 5)))
+                     for _ in range(rnd.randint(1, 12))]
+            groups = []
+            for _ in range(rnd.randint(1, 8)):
+                terms = {}
+                for w in rnd.sample(words, rnd.randint(0, len(words))):
+                    terms[w] = rnd.choice(shared + [Fraction(rnd.randint(1, 5), 3)])
+                groups.append(terms)
+            self._assert_same(groups)
+
+    def test_middle_matrix_cells(self):
+        # Cells of a middle matrix repeat their middle words, and the
+        # Laplacian shares one Fraction per value across cells.
+        q = parse("x1^2 + x2^2", 2)
+        p = q * q * q
+        rep = laplacian_middle(p)
+        cells = [z._terms for row in rep.Z for z in row if z]
+        self._assert_same(cells)
+        self._assert_same([laplacian(p)._terms])
 
 
 class TestDegreeProfile:

@@ -5,6 +5,7 @@ and gives the same cases on every run.
 """
 
 import json
+import random
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -25,7 +26,12 @@ from ncharm.classify2 import _combine
 from ncharm.cli import emit_json
 from ncharm.middlematrix import extract, laplacian_middle, reconstruct
 
-from _helpers import express_oracle, laplacian_oracle, rank_oracle
+from _helpers import (
+    express_oracle,
+    laplacian_fraction_reference,
+    laplacian_oracle,
+    rank_oracle,
+)
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -158,6 +164,27 @@ def test_laplacian_middle_equals_extract_of_laplacian(p):
             assert list(z._terms.items()) == list(w._terms.items())
     values = [c for row in got.Z for z in row for c in z._terms.values()]
     assert len({id(c) for c in values}) == len(set(values))
+
+
+def test_laplacian_middle_term_order_with_edge_letters():
+    # Mixed lengths over x1, x2 and x254 (MAX_VARS), with repeats at both
+    # ends so that Lap words start and end with h: same border and the
+    # same cell term order as extract of the Fraction reference.
+    rnd = random.Random(30)
+    for _ in range(100):
+        terms = {}
+        for _ in range(rnd.randint(1, 8)):
+            w = bytes(rnd.choice([1, 2, 254]) for _ in range(rnd.randint(0, 6)))
+            if w and rnd.random() < 0.5:
+                w = w[:1] + w + w[-1:]
+            terms[w] = terms.get(w, 0) + Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+        q = Poly(254, terms)
+        p = q + q.transpose()
+        got, want = laplacian_middle(p), extract(laplacian_fraction_reference(p))
+        assert (got.g, got.border) == (want.g, want.border)
+        for got_row, want_row in zip(got.Z, want.Z):
+            for z, w in zip(got_row, want_row):
+                assert list(z._terms.items()) == list(w._terms.items())
 
 
 @bounded
