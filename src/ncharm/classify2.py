@@ -601,24 +601,24 @@ def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
     if a sampled point is positive, flipping the sign of X flips it."""
     import numpy as np
 
-    from .positivity import Witness, _draw_stack, _search
+    from .positivity import Witness, _draw_stack, _drawn_witness, _search
     from .positivity import min_eigenvalue, sample_matrix_positive
 
     plan = EvalPlan.of(lap)
     stacks = [range(s, s + 1) for s in range(min(cfg.samples_per_size, 8))]
     for n in cfg.sizes:
         draw = partial(_draw_stack, cfg, lap.g, n, with_h=True)
-        for s, pt, eigs in _search(plan, stacks, draw):
-            X, H = pt.X, pt.H
+        for s, drawn, eigs in _search(plan, stacks, draw):
             if eigs[0] < -cfg.tol:
-                return Witness(n=n, X=X, H=H, min_eig=float(eigs[0]), sample_index=s)
+                return _drawn_witness(n, s, drawn, lap.g, float(eigs[0]))
             if eigs[-1] > cfg.tol:
+                X, H = drawn[: lap.g], drawn[lap.g]
                 Xn = tuple(-Xi for Xi in X)
                 with np.errstate(over="ignore", invalid="ignore"):
                     M = plan.run([H, *Xn])[0]
                 me = min_eigenvalue(M)
                 if me < -cfg.tol:
-                    return Witness(n=n, X=Xn, H=H, min_eig=me, sample_index=s)
+                    return Witness(n=n, X=Xn, H=H.copy(), min_eig=me, sample_index=s)
     return sample_matrix_positive(lap, cfg).witness
 
 

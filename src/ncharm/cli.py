@@ -233,7 +233,11 @@ def _sample_config(args) -> positivity.SampleConfig:
 
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("NCHARM_SEED", "0"))
+        text = os.environ.get("NCHARM_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"NCHARM_SEED must be an integer, got {text!r}") from None
     sizes = tuple(int(s) for s in str(args.sizes).split(",") if s)
     return SampleConfig(
         seed=seed, sizes=sizes, samples_per_size=args.samples, tol=args.tol

@@ -3,18 +3,24 @@
 Random matrix tuples are drawn from a splitmix64 stream keyed by
 (seed, size, sample index, matrix slot), so every verdict is a pure
 function of the polynomial and the configuration, independent of
-execution order or platform.  Every random search (the sampler, the
-direction search at a fixed X and the classifier's sign-flip search) reads
-its eigenvalues from one loop, _search, that evaluates a stack of samples
-per plan run.  Sampling can only refute positivity (produce a witness with
-a negative eigenvalue); the one per-point certificate available here is
-positive semidefiniteness of the evaluated middle matrix, which guarantees
-positivity of the Laplacian in every direction H at that point.
+execution order or platform.  splitmix64's state is a Weyl sequence: the
+k-th output of a stream whose state starts at s0 is mix(s0 + k * gamma mod
+2^64).  So one keyed draw, _draw_matrices, computes every entry of every
+matrix of a stack of samples in one pass over uint64 arrays, byte-equal to
+drawing them one at a time with draw_symmetric.  Every random search (the
+sampler, the direction search at a fixed X and the classifier's sign-flip
+search) draws through it and reads its eigenvalues from one loop, _search,
+that evaluates a stack of samples per plan run.  Sampling can only refute
+positivity (produce a witness with a negative eigenvalue); the one
+per-point certificate available here is positive semidefiniteness of the
+evaluated middle matrix, which guarantees positivity of the Laplacian in
+every direction H at that point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -41,10 +47,14 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
-# The largest matrix size a SampleConfig accepts.  A draw takes n(n+1)/2
-# Python steps a matrix: 200 samples of a degree-4 Laplacian take 0.5 s and
-# 43 MB at n = 32, 2.3 s and 58 MB at n = 64, and 11 s and 142 MB at n = 128.
+# The largest matrix size a SampleConfig accepts.  200 samples of a degree-4
+# Laplacian take 0.07 s and 48 MB at n = 32, 0.24 s and 62 MB at n = 64, and
+# 1.1 s and 146 MB at n = 128 (2 cores, CPython 3.11, numpy 2.4; peak RSS of
+# the whole process).
 MAX_SAMPLE_SIZE = 64
 
 # ldl_pivots runs its Schur update on the whole masked ndarray while more
@@ -65,10 +75,10 @@ class SplitMix64:
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
+        self._state = (self._state + _GAMMA) & _MASK
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
     def next_unit(self) -> float:
@@ -100,6 +110,31 @@ def draw_symmetric(rng: SplitMix64, n: int, bound: float) -> np.ndarray:
     return M
 
 
+# The draw kernel's constants as numpy uint64 scalars.  Every product and
+# sum below has a uint64 array operand, so it wraps mod 2^64 without a
+# warning and its bits do not depend on how numpy casts Python integers.
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = map(np.uint64, (_GAMMA, _MIX1, _MIX2))
+_U11, _U27, _U30, _U31 = map(np.uint64, (11, 27, 30, 31))
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function on a uint64 array, in place."""
+    z ^= z >> _U30
+    z *= _MIX1_U64
+    z ^= z >> _U27
+    z *= _MIX2_U64
+    z ^= z >> _U31
+    return z
+
+
+def _fold(states: np.ndarray, parts: range) -> np.ndarray:
+    """substream's key step, SplitMix64(s ^ part).next_u64(), for every
+    state s and part, of shape states.shape + (len(parts),)."""
+    z = states[..., None] ^ np.arange(parts.start, parts.stop, dtype=np.uint64)
+    z += _GAMMA_U64
+    return _mix(z)
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     seed: int = 0
@@ -110,6 +145,18 @@ class SampleConfig:
     entry_range: float = 1.0
 
     def __post_init__(self):
+        # Integer fields are stored as the int operator.index gives, so a
+        # numpy integer works and 1.7 or "3" never reaches a draw.
+        for name in ("seed", "samples_per_size", "h_samples"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        try:
+            sizes = tuple(self.sizes)
+        except TypeError:
+            raise ValueError(
+                f"sizes must be a sequence of integers, got {self.sizes!r}"
+            ) from None
+        sizes = tuple(_integer(f"sizes[{i}]", n) for i, n in enumerate(sizes))
+        object.__setattr__(self, "sizes", sizes)
         if not self.sizes or any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be nonempty with every entry >= 1")
         if max(self.sizes) > MAX_SAMPLE_SIZE:
@@ -125,7 +172,16 @@ class SampleConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        object.__setattr__(self, "sizes", tuple(self.sizes))
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, if operator.index takes it and it is not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +303,31 @@ def min_eigenvalue(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def _draw_slot(cfg: SampleConfig, n: int, sample: int, slot: int) -> np.ndarray:
-    return draw_symmetric(substream(cfg.seed, n, sample, slot), n, cfg.entry_range)
+def _draw_matrices(cfg: SampleConfig, n: int, samples: range, slots: range) -> np.ndarray:
+    """The one keyed draw: every matrix the samplers draw, as an array of
+    shape (len(samples), len(slots), n, n) whose [k, l] matrix equals
+    draw_symmetric(substream(cfg.seed, n, samples[k], slots[l]), n,
+    cfg.entry_range) byte for byte.
+
+    The k-th output of a stream is mix(s0 + k * gamma), so all n(n+1)/2
+    entries of every (sample, slot) come from one pass over a uint64 array
+    and the same IEEE steps as next_uniform.  Each matrix is gathered from
+    its upper triangle, so it is finite and exactly symmetric.
+    """
+    key = np.array([substream(cfg.seed, n)._state], dtype=np.uint64)
+    states = _fold(_fold(key, samples)[0], slots)
+    count = n * (n + 1) // 2
+    z = states[..., None] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA_U64
+    u = (_mix(z) >> _U11).astype(np.float64)
+    u *= 2.0 ** -53
+    u *= 2.0
+    u -= 1.0
+    u *= float(cfg.entry_range)
+    # Entry (i, j), i <= j, is number i(2n + 1 - i)/2 + j - i of the upper
+    # triangle row-major; (j, i) reads the same one.
+    i = np.arange(n)
+    lo, hi = np.minimum.outer(i, i), np.maximum.outer(i, i)
+    return np.take(u, lo * (2 * n + 1 - lo) // 2 + hi - lo, axis=-1)
 
 
 def draw_point(
@@ -257,13 +336,23 @@ def draw_point(
     """The sample-th n x n point of cfg: X_i from slot i - 1 and, when
     with_h, H from slot g.
 
-    Every sampler draws through here or its per-slot draw, so a matrix
-    depends only on its key (seed, size, sample, slot) and never on which
-    search asked for it.
+    Every sampler draws through the same keyed draw, so a matrix depends
+    only on its key (seed, size, sample, slot) and never on which search
+    asked for it.
     """
-    X = tuple(_draw_slot(cfg, n, sample, slot) for slot in range(g))
-    H = _draw_slot(cfg, n, sample, g) if with_h else None
-    return MatrixPoint(X=X, H=H)
+    M = _draw_matrices(cfg, n, range(sample, sample + 1), range(g + with_h))[0]
+    return MatrixPoint(X=tuple(M[:g]), H=M[g] if with_h else None)
+
+
+def _drawn_witness(
+    n: int, sample: int, drawn: np.ndarray, g: int, min_eig: float
+) -> Witness:
+    """The witness at one drawn point, drawn[i] standing for x_(i+1) and
+    drawn[g], when present, for H.  Its matrices are copies, so it does not
+    pin the stack they were drawn in."""
+    return Witness(n=n, X=tuple(M.copy() for M in drawn[:g]),
+                   H=drawn[g].copy() if len(drawn) > g else None,
+                   min_eig=min_eig, sample_index=sample)
 
 
 def _chunks(count: int):
@@ -281,20 +370,19 @@ def _chunks(count: int):
 
 def _draw_stack(
     cfg: SampleConfig, g: int, n: int, samples: range, with_h: bool
-) -> tuple[list, list]:
-    """The points of the given samples and their matrices stacked per
-    letter, as EvalPlan.run takes them."""
-    points = [draw_point(cfg, g, n, s, with_h) for s in samples]
-    mats = [np.stack([pt.H for pt in points]) if with_h else None]
-    mats += [np.stack([pt.X[i] for pt in points]) for i in range(g)]
-    return points, mats
+) -> tuple[np.ndarray, list]:
+    """The points of the given samples, of shape (samples, slots, n, n),
+    and their matrices stacked per letter, as EvalPlan.run takes them."""
+    M = _draw_matrices(cfg, n, samples, range(g + with_h))
+    return M, [M[:, g] if with_h else None, *(M[:, i] for i in range(g))]
 
 
 def _search(plan: EvalPlan, stacks, draw):
     """Yield (sample, point, eigenvalues) in order, one plan.run per stack
-    of samples, where draw(samples) gives the points and their matrices as
-    plan.run takes them.  A refused stack is checked one sample at a time,
-    so a refused matrix raises only after every earlier sample is yielded."""
+    of samples, where draw(samples) gives the points, indexed by sample,
+    and their matrices as plan.run takes them.  A refused stack is checked
+    one sample at a time, so a refused matrix raises only after every
+    earlier sample is yielded."""
     for samples in stacks:
         points, mats = draw(samples)
         # An overflow is refused, naming the value, by the checks below.
@@ -323,14 +411,14 @@ def sample_matrix_positive(p: Poly, cfg: SampleConfig) -> SampleVerdict:
     min_seen = float("inf")
     for n in cfg.sizes:
         draw = partial(_draw_stack, cfg, p.g, n, with_h=p.contains_h)
-        for s, pt, eigs in _search(plan, _chunks(cfg.samples_per_size), draw):
+        for s, drawn, eigs in _search(plan, _chunks(cfg.samples_per_size), draw):
             me = float(eigs[0])
             tested += 1
             min_seen = min(min_seen, me)
             if me < -cfg.tol:
                 return SampleVerdict(
                     kind="Counterexample",
-                    witness=Witness(n=n, X=pt.X, H=pt.H, min_eig=me, sample_index=s),
+                    witness=_drawn_witness(n, s, drawn, p.g, me),
                     samples_tested=tested,
                     min_eigenvalue_seen=min_seen,
                 )
@@ -367,14 +455,15 @@ def subharmonic_at_point(
         return PointVerdict(kind="CertifiedAllH")
 
     def draw(samples):
-        Hs = [_draw_slot(cfg, n, s, p.g) for s in samples]
-        return Hs, [np.stack(Hs), *X]
+        Hs = _draw_matrices(cfg, n, samples, range(p.g, p.g + 1))[:, 0]
+        return Hs, [Hs, *X]
 
     plan = EvalPlan.of(laplacian(p))
     for s, H, eigs in _search(plan, _chunks(cfg.h_samples), draw):
         if eigs[0] < -cfg.tol:
             return PointVerdict(
                 kind="CounterexampleH",
-                witness=Witness(n=n, X=X, H=H, min_eig=float(eigs[0]), sample_index=s),
+                witness=Witness(n=n, X=X, H=H.copy(), min_eig=float(eigs[0]),
+                                sample_index=s),
             )
     return PointVerdict(kind="Unknown")

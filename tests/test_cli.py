@@ -412,6 +412,12 @@ class TestInputDomain:
         assert err == ("error: a sandwich table of 3599 x 60 x 3599 coefficients "
                        "exceeds MAX_SANDWICH_ENTRIES = 262144\n")
 
+    def test_seed_variable_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("NCHARM_SEED", "abc")
+        code, out, err = run(["sample", "x1^2"])
+        assert (code, out) == (2, "")
+        assert err == "error: NCHARM_SEED must be an integer, got 'abc'\n"
+
     def test_sandwich_table_at_cap(self):
         code, out, _ = run(["odd-sandwich", "--vars", "64", "x1*x2*x3"])
         assert (code, out) == (0, "phi[1][x2][3] = 1\n")

@@ -279,6 +279,121 @@ class TestSplitMix:
         assert np.max(np.abs(M)) <= 1.0
 
 
+class TestDrawKernel:
+    """The one-pass draw equals draw_symmetric on each key, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, -1, 2 ** 64 - 1, 2 ** 70 + 3])
+    @pytest.mark.parametrize("entry_range", [1.0, 0.3, 1e300])
+    def test_stacks_equal_scalar_draws(self, seed, entry_range):
+        for n in (1, 2, 3, 4, 7, 16, 64):
+            cfg = SampleConfig(seed=seed, entry_range=entry_range)
+            for samples in (range(0, 2), range(2 ** 32 + 7, 2 ** 32 + 8)):
+                want = [[draw_symmetric(substream(seed, n, s, slot), n, entry_range).tobytes()
+                         for slot in range(4)] for s in samples]
+                for g in (1, 2, 3):
+                    for with_h in (False, True):
+                        points, mats = positivity._draw_stack(cfg, g, n, samples, with_h)
+                        assert points.shape == (len(samples), g + with_h, n, n)
+                        assert [[M.tobytes() for M in pt] for pt in points] == [
+                            w[: g + with_h] for w in want]
+                        # Letter 0 is h, letter i is x_i.
+                        assert (mats[0] is None) == (not with_h)
+                        letters = [mats[i] for i in range(1, g + 1)]
+                        if with_h:
+                            letters.append(mats[0])
+                        for k, w in enumerate(want):
+                            assert [L[k].tobytes() for L in letters] == w[: g + with_h]
+                        for k, s in enumerate(samples):
+                            pt = positivity.draw_point(cfg, g, n, s, with_h)
+                            got = [M.tobytes() for M in pt.X]
+                            if with_h:
+                                got.append(pt.H.tobytes())
+                            else:
+                                assert pt.H is None
+                            assert got == want[k][: g + with_h]
+
+    def test_no_overflow_warning(self):
+        # Every uint64 product and sum wraps on arrays, silently.
+        cfg = SampleConfig(seed=2 ** 64 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            positivity._draw_stack(cfg, 2, 64, range(2 ** 64 - 3, 2 ** 64 - 1), True)
+
+
+class TestSamplersDrawInOnePass:
+    """No sampler draws entry by entry or re-validates what it drew."""
+
+    @pytest.fixture
+    def points_made(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew entry by entry")
+
+        monkeypatch.setattr(positivity, "draw_symmetric", refuse)
+        monkeypatch.setattr(SplitMix64, "next_uniform", refuse)
+        made = []
+        check = MatrixPoint.__post_init__
+        monkeypatch.setattr(MatrixPoint, "__post_init__",
+                            lambda pt: made.append(pt) or check(pt))
+        return made
+
+    def test_sampler(self, points_made):
+        K = parse("x1*x2 - x2*x1", 2)
+        p = K * K + parse("x1^4 + x2^4", 2)
+        cfg = SampleConfig(seed=5, sizes=(1, 2, 3), samples_per_size=12)
+        verdict = sample_matrix_positive(p, cfg)
+        assert (verdict.witness.n, verdict.witness.sample_index) == (2, 7)
+        verdict = sample_matrix_positive(laplacian(parse("x1*x2^2*x1", 2)), cfg)
+        assert verdict.kind == "NoCounterexampleFound"
+        assert points_made == []
+
+    def test_direction_search(self, points_made):
+        X = TestSubharmonicAtPoint.LATE_X
+        verdict = subharmonic_at_point(parse("x1^3", 2), X, SampleConfig(seed=14, h_samples=20))
+        assert (verdict.kind, verdict.witness.sample_index) == ("CounterexampleH", 7)
+        # The one point made is evaluate_middle's check of the given X.
+        assert len(points_made) == 1 and points_made[0].H is None
+
+    def test_sign_flip_search(self, points_made):
+        from ncharm.classify2 import _odd_witness
+
+        lap = laplacian(parse("x1^3", 2))
+        for seed in (0, 1):
+            assert _odd_witness(lap, SampleConfig(seed=seed)).sample_index == 0
+        assert points_made == []
+
+
+class TestWitnessesOwnTheirArrays:
+    """A witness holds copies, never views that pin a whole drawn stack."""
+
+    @staticmethod
+    def _owned(w):
+        return all(M.base is None for M in (*w.X, w.H) if M is not None)
+
+    def test_sampler(self):
+        p = parse("x2^2 - x1^2", 2)
+        cfg = SampleConfig(seed=3, sizes=(3,), samples_per_size=40)
+        for q in (p, laplacian(parse(REGION_FAMILY, 2))):
+            w = sample_matrix_positive(q, cfg).witness
+            assert w is not None and self._owned(w)
+
+    def test_direction_search(self):
+        X = TestSubharmonicAtPoint.LATE_X
+        w = subharmonic_at_point(parse("x1^3", 2), X, SampleConfig(seed=14, h_samples=20)).witness
+        assert w.H.base is None
+        assert all(a is b for a, b in zip(w.X, X))
+
+    def test_sign_flip_search(self):
+        from ncharm.classify2 import _odd_witness
+
+        lap = laplacian(parse("x1^3", 2))
+        # Seed 0 refutes at the flipped point, seed 1 at the drawn one.
+        for seed, flipped in ((0, True), (1, False)):
+            w = _odd_witness(lap, SampleConfig(seed=seed))
+            drawn = draw_symmetric(substream(seed, w.n, w.sample_index, 0), w.n, 1.0)
+            assert np.array_equal(w.X[0], -drawn if flipped else drawn)
+            assert self._owned(w)
+
+
 class TestSampleConfig:
     @pytest.mark.parametrize(
         "field, value",
@@ -295,11 +410,31 @@ class TestSampleConfig:
             ("entry_range", float("nan")),
             ("sizes", (1, 65)),
             ("sizes", (100000,)),
+            ("seed", 1.7),
+            ("seed", "3"),
+            ("seed", True),
+            ("seed", None),
+            ("sizes", (2.5,)),
+            ("sizes", (1, True)),
+            ("sizes", 3),
+            ("samples_per_size", 2.5),
+            ("h_samples", np.float64(50.0)),
         ],
     )
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(ValueError, match=field):
             SampleConfig(**{field: value})
+
+    def test_integer_fields_stored_as_int(self):
+        cfg = SampleConfig(seed=np.uint64(2 ** 64 - 1), sizes=[np.int8(2), 3],
+                           samples_per_size=np.int32(4), h_samples=np.int64(5))
+        assert (cfg.seed, cfg.sizes, cfg.samples_per_size, cfg.h_samples) == (
+            2 ** 64 - 1, (2, 3), 4, 5)
+        assert all(type(v) is int for v in (cfg.seed, *cfg.sizes, cfg.samples_per_size,
+                                            cfg.h_samples))
+        assert (sample_matrix_positive(parse("x1^2", 2), cfg).min_eigenvalue_seen
+                == sample_matrix_positive(parse("x1^2", 2), SampleConfig(
+                    seed=-1, sizes=(2, 3), samples_per_size=4)).min_eigenvalue_seen)
 
     def test_largest_size(self):
         from ncharm.positivity import MAX_SAMPLE_SIZE
