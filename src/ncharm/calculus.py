@@ -77,20 +77,9 @@ def directional_derivative(p: Poly, i: int) -> Poly:
     return Poly._raw(p.g, out)
 
 
-def _laplacian_terms(p: Poly) -> dict:
-    """The terms of Lap(p), word -> coefficient, in their order.
-
-    Each contribution is keyed by the integer code of its output word:
-    int.from_bytes(b"\\x01" + w) less the shifted values of the two
-    replaced letters, since h is letter 0.  The leading 1 keeps words of
-    different lengths, and words that start with h, apart.  Contributions
-    are summed as integer numerators over the least common denominator L
-    of the coefficients, and each distinct value builds its Fraction once.
-    A running sum is zero exactly when the Fraction sum would be, so terms
-    are deleted and reinserted, and the result ordered, as a Fraction
-    accumulation over the words would leave them.
-    """
-    _require_h_free(p, "laplacian")
+def _check_laplacian_letters(p: Poly) -> None:
+    """Refuse p, with ValueError, when its Laplacian expands to more than
+    MAX_LAPLACIAN_LETTERS letters."""
     # Each word yields one word of its length per pair of equal letters, so
     # with n the longest length at most C(n, 2) words of n letters; past
     # that bound, count.
@@ -105,6 +94,23 @@ def _laplacian_terms(p: Poly) -> dict:
                 f"Laplacian expansion to {letters} letters exceeds "
                 f"MAX_LAPLACIAN_LETTERS = {MAX_LAPLACIAN_LETTERS}"
             )
+
+
+def _laplacian_terms(p: Poly) -> dict:
+    """The terms of Lap(p), word -> coefficient, in their order.
+
+    Each contribution is keyed by the integer code of its output word:
+    int.from_bytes(b"\\x01" + w) less the shifted values of the two
+    replaced letters, since h is letter 0.  The leading 1 keeps words of
+    different lengths, and words that start with h, apart.  Contributions
+    are summed as integer numerators over the least common denominator L
+    of the coefficients, and each distinct value builds its Fraction once.
+    A running sum is zero exactly when the Fraction sum would be, so terms
+    are deleted and reinserted, and the result ordered, as a Fraction
+    accumulation over the words would leave them.
+    """
+    _require_h_free(p, "laplacian")
+    _check_laplacian_letters(p)
     L = math.lcm(*(c.denominator for c in p._terms.values()))
     out: dict[int, int] = {}
     for w, c in p._terms.items():

@@ -238,7 +238,12 @@ def _sample_config(args) -> positivity.SampleConfig:
             seed = int(text)
         except ValueError:
             raise ValueError(f"NCHARM_SEED must be an integer, got {text!r}") from None
-    sizes = tuple(int(s) for s in str(args.sizes).split(",") if s)
+    try:
+        sizes = tuple(int(s) for s in str(args.sizes).split(","))
+    except ValueError:
+        raise ValueError(
+            f"--sizes must be comma separated integers, got {args.sizes!r}"
+        ) from None
     return SampleConfig(
         seed=seed, sizes=sizes, samples_per_size=args.samples, tol=args.tol
     )

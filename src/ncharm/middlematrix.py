@@ -12,13 +12,23 @@ diagonal entry facing a nonzero off-diagonal entry rules positivity out
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .calculus import _laplacian_terms
-from .ncpoly import H_LETTER, EvalPlan, MatrixPoint, Poly, Word, word_key
+from .calculus import _check_laplacian_letters, _laplacian_terms
+from .ncpoly import (
+    _RUN_BYTES,
+    H_LETTER,
+    EvalPlan,
+    MatrixPoint,
+    Poly,
+    Word,
+    _float_coefficient,
+    word_key,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,6 +43,10 @@ __all__ = [
 ]
 
 _H = bytes([H_LETTER])
+
+# The most (word, pair of positions) slots _equal_letter_pairs
+# compares for equal letters at once.
+_PAIR_SLOTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -155,4 +169,132 @@ def evaluate_middle(rep: MiddleMatrixRep, X: Sequence[np.ndarray]) -> np.ndarray
     M = np.zeros((N, n, N, n))
     M[rows, :, cols, :] = plan.run([None, *point.X])
     M = M.reshape(N * n, N * n)
+    return (M + M.T) / 2.0
+
+
+def _equal_letter_pairs(words: list, pw: np.ndarray) -> tuple:
+    """Every pair of equal letters of every word, in the order in which
+    _laplacian_terms expands them: by word, then by letter in order of
+    first appearance, then by pair of positions.
+
+    Returns, per pair, the word index t, the positions a < b, the number e
+    of letters after b and the code of the word with both letters replaced
+    by h; and, per word, the code of its reversal.  pw[k] is B^k.  The
+    words of one length are compared as one uint8 array, at most
+    _PAIR_SLOTS (word, pair of positions) slots at a time.
+    """
+    import numpy as np
+
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    A = np.frombuffer(b"".join(words), dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    rcode = np.empty(len(words), dtype=pw.dtype)
+    parts = []
+    for l in sorted(set(map(len, words)) - {0, 1}):
+        ts = np.flatnonzero(lengths == l)
+        W = A[starts[ts, None] + np.arange(l)]
+        code = W @ pw[l - 1 :: -1] + pw[l]
+        rcode[ts] = W @ pw[:l]
+        ia, ib = np.nonzero(np.less.outer(np.arange(l), np.arange(l)))
+        step = max(1, _PAIR_SLOTS // len(ia))
+        for lo in range(0, len(ts), step):
+            block = W[lo : lo + step]
+            rows, k = np.nonzero(block[:, ia] == block[:, ib])
+            a, b = ia[k], ib[k]
+            x = block[rows, a]
+            # A word's pairs by letter, letters by first appearance.
+            first = (block[:, :, None] == block[:, None, :]).argmax(2)
+            o = np.argsort(rows * l + first[rows, a], kind="stable")
+            rows, a, b, x = rows[o] + lo, a[o], b[o], x[o]
+            e = l - 1 - b
+            parts.append((ts[rows], a, b, e, code[rows] - x * (pw[l - 1 - a] + pw[e])))
+    t, a, b, e, lap = map(np.concatenate, zip(*parts))
+    if len(parts) > 1:
+        o = np.argsort(t, kind="stable")
+        t, a, b, e, lap = t[o], a[o], b[o], e[o], lap[o]
+    return t, a, b, e, lap, rcode
+
+
+def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
+    """evaluate_middle(laplacian_middle(p), X) byte for byte, built from
+    array passes over p's words: no Laplacian word, Fraction,
+    representation or plan is made.  p must be h-free and symmetric;
+    neither is tested here.
+
+    Words are integer codes in base B = g + 1 with the letters as digits.
+    An x-word's code is its digit string: no letter is 0, so words of
+    different lengths have different codes, and codes sort in canonical
+    word order.  A Laplacian word of length l may start with h = 0, so its
+    code adds B^l.  Codes are int64 while B^(l+1) < 2^63 for the longest
+    word, Python ints past it.  The contributions are summed in a dict in
+    the order of _laplacian_terms, as integer numerators over the common
+    denominator, so the same terms survive in the same order.  Each
+    distinct middle word is multiplied out from the identity letter by
+    letter, and each term adds c * product to its cell in term order, as
+    EvalPlan does.
+    """
+    import numpy as np
+
+    _check_laplacian_letters(p)
+    point = MatrixPoint(X=tuple(X))
+    n = point.n
+    words = list(p._terms)
+    B = p.g + 1
+    top = max(map(len, words), default=0)
+    if top < 2:
+        return np.zeros((0, 0))
+    pw = np.array([B**k for k in range(top + 1)],
+                  dtype=np.int64 if B ** (top + 1) < 1 << 63 else object)
+    t, a, b, e, lap, rcode = _equal_letter_pairs(words, pw)
+    coefs = list(p._terms.values())
+    dens = [c.denominator for c in coefs]
+    L = math.lcm(*dens)
+    c2 = [2 * c.numerator * (L // d) for c, d in zip(coefs, dens)]
+    codes = lap.tolist()
+    sums: dict[int, int] = {}
+    for key, v in zip(codes, map(c2.__getitem__, t.tolist())):
+        s = sums.get(key, 0) + v
+        if s:
+            sums[key] = s
+        else:
+            del sums[key]
+    if not sums:
+        return np.zeros((0, 0))
+    # One contribution per term: those of one code share its word.
+    last = dict(zip(codes, range(len(codes))))
+    k = np.array([last[key] for key in sums])
+    t, a, b, e, lap = t[k], a[k], b[k], e[k], lap[k]
+    S = len(k)
+    # Border words: the reversed part before the first h, the part after
+    # the second.
+    border, cell = np.unique(np.concatenate((rcode[t] % pw[a], lap % pw[e])),
+                             return_inverse=True)
+    N = len(border)
+    i, j = cell[:S], cell[S:]
+    try:
+        coef = np.array([v / L for v in sums.values()])
+    except OverflowError:
+        # Name the first coefficient in cell order, as EvalPlan does.
+        values = list(sums.values())
+        for r in np.lexsort((np.arange(S), j, i)):
+            _float_coefficient(Fraction(values[r], L))
+    mids, m = np.unique(lap // pw[e + 1] % pw[b - a - 1], return_inverse=True)
+    depth = int((b - a).max()) - 1
+    letters = (mids[:, None] // pw[:depth][::-1] % B).astype(np.intp)
+    if letters.size and letters.max() > len(point.X):
+        raise ValueError(f"point supplies {len(point.X)} matrices, poly uses more")
+    # Words right-aligned: a shorter one is led by identity factors, and
+    # I @ I = I exactly.
+    Xs = np.empty((len(point.X) + 1, n, n))
+    Xs[0] = np.eye(n)
+    Xs[1:] = point.X
+    P = Xs[np.zeros(len(mids), dtype=np.intp)]
+    for col in letters.T:
+        P = P @ Xs[col]
+    M = np.zeros((N, N, n, n))
+    step = max(1, _RUN_BYTES // (16 * n * n))
+    for lo in range(0, S, step):
+        s = slice(lo, lo + step)
+        np.add.at(M, (i[s], j[s]), coef[s, None, None] * P[m[s]])
+    M = M.transpose(0, 2, 1, 3).reshape(N * n, N * n)
     return (M + M.T) / 2.0

@@ -13,8 +13,11 @@ search) draws through it and reads its eigenvalues from one loop, _search,
 that evaluates a stack of samples per plan run.  Sampling can only refute
 positivity (produce a witness with a negative eigenvalue); the one
 per-point certificate available here is positive semidefiniteness of the
-evaluated middle matrix, which guarantees positivity of the Laplacian in
-every direction H at that point.
+evaluated middle matrix Z(X) of the Laplacian, which guarantees positivity
+of the Laplacian in every direction H at that point.  The point check
+evaluates Z(X) straight from p's words in array passes, byte-equal to
+evaluate_middle(laplacian_middle(p), X), without building the Laplacian or
+its representation.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import laplacian
-from .middlematrix import evaluate_middle, laplacian_middle
+from .middlematrix import _evaluate_laplacian_middle
 from .ncpoly import EvalPlan, MatrixPoint, Poly
 
 __all__ = [
@@ -170,7 +173,7 @@ class SampleConfig:
             raise ValueError("h_samples must be at least 1")
         for name in ("tol", "entry_range"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
@@ -435,22 +438,25 @@ def subharmonic_at_point(
 ) -> PointVerdict:
     """Decide positivity of the Laplacian of p at a fixed tuple X.
 
-    Z(X) is evaluated from the middle matrix of the Laplacian, built
-    straight from p's word splits (laplacian_middle).  If Z(X) is PSD the
-    verdict holds for every direction H (certificate), and the Laplacian
-    itself is never built.  Otherwise up to cfg.h_samples directions are
-    sampled for a concrete negative eigenvalue of the Laplacian; failing
-    both, the honest answer is Unknown, because an indefinite Z(X) does not
-    by itself refute positivity at X.  p must be h-free, and symmetric as
-    laplacian_middle tests; otherwise ValueError.
+    Z(X), the middle matrix of the Laplacian evaluated at X, is computed
+    straight from p's words in array passes, byte-equal to
+    evaluate_middle(laplacian_middle(p), X).  If Z(X) is PSD the verdict
+    holds for every direction H (certificate), and the Laplacian itself is
+    never built.  Otherwise up to cfg.h_samples directions are sampled for
+    a concrete negative eigenvalue of the Laplacian; failing both, the
+    honest answer is Unknown, because an indefinite Z(X) does not by itself
+    refute positivity at X.  p must be h-free and symmetric, and its
+    Laplacian at most MAX_LAPLACIAN_LETTERS letters; otherwise ValueError.
     """
     if p.contains_h:
         raise ValueError("subharmonic_at_point expects an h-free polynomial")
-    rep = laplacian_middle(p)
-    X = tuple(np.asarray(M, dtype=float) for M in X)
-    n = X[0].shape[0] if X else 1
+    if not p.is_symmetric():
+        raise ValueError("subharmonic_at_point requires a symmetric polynomial")
+    X = tuple(X)
     with np.errstate(over="ignore", invalid="ignore"):
-        Zx = evaluate_middle(rep, X)
+        Zx = _evaluate_laplacian_middle(p, X)
+    X = tuple(np.asarray(M, dtype=float) for M in X)
+    n = X[0].shape[0]
     if ldl_pivots(Zx, cfg.tol)[1]:
         return PointVerdict(kind="CertifiedAllH")
 

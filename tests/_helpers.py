@@ -77,9 +77,80 @@ def random_two_h_symmetric(rnd: random.Random, g: int, max_x_degree: int = 4) ->
     return p + p.transpose()
 
 
+def random_point(rnd: random.Random, g: int, n: int) -> tuple:
+    """g exactly symmetric n x n matrices with entries in [-1, 1]."""
+    mats = []
+    for _ in range(g):
+        M = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                M[i, j] = M[j, i] = rnd.uniform(-1.0, 1.0)
+        mats.append(M)
+    return tuple(mats)
+
+
+def sweep_points() -> list:
+    """The 32 (p, X) point checks of the benchmark's sweep workload
+    (perfbench/workloads.py), rebuilt from the same recipe and seeds: even
+    family members of degrees 4, 6 and 8 and strictly-inside degree-4
+    members, each at one X of every size 1..4."""
+    from ncharm.classify2 import Degree4Coeffs, degree4_family, degree4_inequalities
+    from ncharm.harmonicspace import gamma_power_parts
+
+    rnd = random.Random(2009)
+
+    def rational():
+        return Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
+
+    members = []
+    for d in (2, 3, 4):
+        re_d, _ = gamma_power_parts(d)
+        re_2d, im_2d = gamma_power_parts(2 * d)
+        for _ in range(2):
+            c0 = Fraction(rnd.randint(1, 9), rnd.randint(1, 5))
+            c1, c2 = rational(), rational()
+            members.append((re_d * re_d).scale(c0) + re_2d.scale(c1) + im_2d.scale(c2))
+    while len(members) < 8:
+        B = Degree4Coeffs(*[rational() for _ in range(6)])
+        if degree4_inequalities(B).kind == "StrictlyInside":
+            members.append(degree4_family(B))
+    rnd = random.Random(2010)
+    points = []
+    for p in members:
+        for n in (1, 2, 3, 4):
+            points.append((p, random_point(rnd, 2, n)))
+    return points
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+
+def assert_point_check_matches(p: Poly, X):
+    """The point check's Z(X), _evaluate_laplacian_middle(p, X), against
+    the exact route evaluate_middle(laplacian_middle(p), X): the same
+    shape and bytes, or the same ValueError.  Returns Z(X) or the error."""
+    from ncharm.middlematrix import (
+        _evaluate_laplacian_middle,
+        evaluate_middle,
+        laplacian_middle,
+    )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = evaluate_middle(laplacian_middle(p), X)
+        except ValueError as exc:
+            try:
+                _evaluate_laplacian_middle(p, X)
+            except ValueError as got:
+                assert str(got) == str(exc)
+                return got
+            raise AssertionError(f"expected ValueError: {exc}")
+        got = _evaluate_laplacian_middle(p, X)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    return got
 
 
 def mul_oracle(p: Poly, q: Poly) -> Poly:

@@ -387,6 +387,12 @@ class TestInputDomain:
              "sizes must be at most MAX_SAMPLE_SIZE = 64, got 100000"),
             (["classify", "--sizes", "100000", "x1^6-x2^6"],
              "sizes must be at most MAX_SAMPLE_SIZE = 64, got 100000"),
+            (["sample", "--sizes", "2.5", "x1^2"],
+             "--sizes must be comma separated integers, got '2.5'"),
+            (["sample", "--sizes", "1,,3", "x1^2"],
+             "--sizes must be comma separated integers, got '1,,3'"),
+            (["classify", "--sizes", "2,", "x1^6-x2^6"],
+             "--sizes must be comma separated integers, got '2,'"),
         ],
     )
     def test_rejected_with_exit_two(self, argv, message):

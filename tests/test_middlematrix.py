@@ -1,4 +1,6 @@
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from ncharm import (
 )
 from ncharm.ncpoly import EvalPlan
 
-from _helpers import evaluate_oracle, random_symmetric_homogeneous, random_two_h_symmetric
+from _helpers import (
+    assert_point_check_matches,
+    evaluate_oracle,
+    random_point,
+    random_symmetric_homogeneous,
+    random_two_h_symmetric,
+)
 
 
 WORKED_EXAMPLE = (
@@ -236,3 +244,67 @@ class TestEvaluateMiddle:
                 H = draw_symmetric(substream(3434, n, s), n, 1.0)
                 value = evaluate(q, MatrixPoint(X=X, H=H))
                 assert min_eigenvalue(value) >= -tol
+
+
+class TestEvaluateLaplacianMiddle:
+    """The point check's array evaluation of Z(X) against laplacian_middle
+    then evaluate_middle: the same bytes, or the same ValueError."""
+
+    X = (np.array([[0.5, -1.0], [-1.0, 2.0]]), np.array([[0.0, 0.25], [0.25, -3.0]]))
+
+    @pytest.mark.parametrize("text", ["0", "3", "x1 + 2*x2", "x1*x2 + x2*x1",
+                                      "x1^2 - x2^2"])
+    def test_empty_laplacian(self, text):
+        # Constant and linear terms have no pair of equal letters, and the
+        # Laplacian of x1^2 - x2^2 cancels to zero.
+        assert assert_point_check_matches(parse(text, 2), self.X).shape == (0, 0)
+
+    def test_fewer_matrices_than_variables(self):
+        err = assert_point_check_matches(parse("x1*x2*x1", 2), self.X[:1])
+        assert str(err) == "point supplies 1 matrices, poly uses more"
+        # x2 only flanks the h's, so no middle word needs its matrix.
+        assert assert_point_check_matches(parse("x2*x1^2*x2", 2), self.X[:1]).shape == (4, 4)
+
+    @pytest.mark.parametrize("X", [
+        (),
+        (np.array([[np.inf]]), np.eye(1)),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)),
+        (np.eye(2), np.eye(3)),
+    ])
+    def test_rejected_points(self, X):
+        assert isinstance(assert_point_check_matches(parse("x1^4 + x2^4", 2), X), ValueError)
+
+    def test_entries_near_overflow(self):
+        # The point of the LDL overflow example in test_positivity: Z(X)
+        # reaches 6e240, and its LDL overflows.
+        p = parse("x1^2*x2^2*x1^2 + x2^6 + x1^6", 2)
+        X = ([[1e60, 1], [1, 1e-60]], [[1e-60, 1e60], [1e60, 2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = assert_point_check_matches(p, X)
+        assert 5e240 < np.abs(Z).max() < 7e240
+
+    def test_codes_past_int64(self):
+        # Base-255 codes are Python ints once the longest word has 7 letters.
+        rnd = random.Random(36)
+        X = random_point(rnd, 254, 2)
+        for _ in range(20):
+            terms = {}
+            for _ in range(rnd.randint(1, 5)):
+                w = bytes(rnd.choice([1, 2, 254]) for _ in range(rnd.randint(8, 11)))
+                terms[w] = Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+            q = Poly(254, terms)
+            assert_point_check_matches(q + q.transpose(), X)
+
+    @pytest.mark.parametrize("k", [2 ** 62 + 1, 10 ** 40 + 7])
+    def test_coefficients_past_int64(self, k):
+        X = random_point(random.Random(37), 2, 3)
+        assert_point_check_matches(parse(f"{k}*x1^3 + x2*x1^2*x2 - {k}*x2^4", 2), X)
+
+    def test_terms_cancelled_and_reinserted(self):
+        # Lap words h*h*x2 and x2*h*h sum to zero and come back, with
+        # 40-digit coefficients.
+        X = random_point(random.Random(38), 3, 2)
+        for c in (1, 10 ** 40 + 1):
+            p = parse("x1^2*x2 - x2^3 + x3^2*x2 + x2*x1^2 + x2*x3^2", 3).scale(c)
+            assert_point_check_matches(p, X)

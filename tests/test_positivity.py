@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -350,7 +351,7 @@ class TestSamplersDrawInOnePass:
         X = TestSubharmonicAtPoint.LATE_X
         verdict = subharmonic_at_point(parse("x1^3", 2), X, SampleConfig(seed=14, h_samples=20))
         assert (verdict.kind, verdict.witness.sample_index) == ("CounterexampleH", 7)
-        # The one point made is evaluate_middle's check of the given X.
+        # The one point made is the point check's validation of the given X.
         assert len(points_made) == 1 and points_made[0].H is None
 
     def test_sign_flip_search(self, points_made):
@@ -419,6 +420,8 @@ class TestSampleConfig:
             ("sizes", 3),
             ("samples_per_size", 2.5),
             ("h_samples", np.float64(50.0)),
+            ("tol", True),
+            ("entry_range", True),
         ],
     )
     def test_rejects_out_of_domain(self, field, value):
@@ -579,10 +582,39 @@ class TestSubharmonicAtPoint:
 
     def test_rejects_h_and_nonsymmetric(self):
         cfg = SampleConfig(seed=6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expects an h-free polynomial"):
             subharmonic_at_point(parse("h^2", 2), (np.eye(2), np.eye(2)), cfg)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires a symmetric polynomial"):
             subharmonic_at_point(parse("x1*x2", 2), (np.eye(2), np.eye(2)), cfg)
+
+    @pytest.mark.parametrize("text", ["0", "-2/3", "x1 - x2", "x1*x2 + x2*x1",
+                                      "x1^2 - x2^2"])
+    def test_empty_laplacian_is_certified(self, text):
+        X = self._random_X(random.Random(48), 2)
+        assert subharmonic_at_point(parse(text, 2), X, SampleConfig()).kind == "CertifiedAllH"
+
+    @pytest.mark.parametrize("X, message", [
+        ((), "at least one matrix is required"),
+        ((np.eye(2),), "point supplies 1 matrices, poly uses more"),
+        ((np.array([[np.nan]]), np.eye(1)), "must be finite numbers"),
+        ((np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)), "must be exactly symmetric"),
+    ])
+    def test_rejects_bad_points(self, X, message):
+        with pytest.raises(ValueError, match=message):
+            subharmonic_at_point(parse("x1*x2^2*x1", 2), X, SampleConfig())
+
+    def test_expansion_cap_refused_at_once(self):
+        # x1^600 expands to C(600, 2) words of 600 letters: 107,820,000.
+        p = parse("x1^600", 2)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            subharmonic_at_point(p, (np.eye(2), np.eye(2)), SampleConfig())
+        assert time.perf_counter() - start < 1.0
+        assert str(refused.value) == (
+            "Laplacian expansion to 107820000 letters exceeds "
+            "MAX_LAPLACIAN_LETTERS = 67108864")
+        with pytest.raises(ValueError, match=str(refused.value)):
+            laplacian(p)
 
     def test_certificate_implies_sampled_h_psd(self):
         # Sufficiency of the middle-matrix certificate, checked by sampling.

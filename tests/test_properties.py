@@ -27,10 +27,13 @@ from ncharm.cli import emit_json
 from ncharm.middlematrix import extract, laplacian_middle, reconstruct
 
 from _helpers import (
+    assert_point_check_matches,
     express_oracle,
     laplacian_fraction_reference,
     laplacian_oracle,
+    random_point,
     rank_oracle,
+    sweep_points,
 )
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -185,6 +188,37 @@ def test_laplacian_middle_term_order_with_edge_letters():
         for got_row, want_row in zip(got.Z, want.Z):
             for z, w in zip(got_row, want_row):
                 assert list(z._terms.items()) == list(w._terms.items())
+
+
+# Lap words h*h*x2 and x2*h*h are deleted and inserted again.
+@bounded
+@example(parse("x1^2*x2 - x2^3 + x3^2*x2 + x2*x1^2 + x2*x3^2", 3), 2, 0)
+@given(symmetric_h_free(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_point_check_equals_evaluate_middle(p, n, seed):
+    assert_point_check_matches(p, random_point(random.Random(seed), p.g, n))
+
+
+def test_point_check_with_edge_letters():
+    # The words of test_laplacian_middle_term_order_with_edge_letters, up
+    # to 8 letters over x1, x2 and x254: codes past int64 from 7 letters.
+    rnd = random.Random(30)
+    X = random_point(rnd, 254, 2)
+    for _ in range(100):
+        terms = {}
+        for _ in range(rnd.randint(1, 8)):
+            w = bytes(rnd.choice([1, 2, 254]) for _ in range(rnd.randint(0, 6)))
+            if w and rnd.random() < 0.5:
+                w = w[:1] + w + w[-1:]
+            terms[w] = terms.get(w, 0) + Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+        q = Poly(254, terms)
+        assert_point_check_matches(q + q.transpose(), X)
+
+
+def test_point_check_on_sweep_points():
+    points = sweep_points()
+    assert len(points) == 32
+    for p, X in points:
+        assert assert_point_check_matches(p, X).shape[0] > 0
 
 
 @bounded
