@@ -173,7 +173,11 @@ class SampleConfig:
             raise ValueError("h_samples must be at least 1")
         for name in ("tol", "entry_range"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+            try:
+                ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
+            except TypeError:
+                ok = False
+            if not ok:
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 

@@ -422,6 +422,8 @@ class TestSampleConfig:
             ("h_samples", np.float64(50.0)),
             ("tol", True),
             ("entry_range", True),
+            ("tol", "1e-9"),
+            ("entry_range", None),
         ],
     )
     def test_rejects_out_of_domain(self, field, value):
