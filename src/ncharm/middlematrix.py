@@ -207,7 +207,8 @@ def _equal_letter_pairs(words: list, pw: np.ndarray) -> tuple:
             o = np.argsort(rows * l + first[rows, a], kind="stable")
             rows, a, b, x = rows[o] + lo, a[o], b[o], x[o]
             e = l - 1 - b
-            parts.append((ts[rows], a, b, e, code[rows] - x * (pw[l - 1 - a] + pw[e])))
+            lap = code[rows] - x * (pw[l - 1 - a] + pw[e])
+            parts.append((ts[rows], a, b, e, lap))
     t, a, b, e, lap = map(np.concatenate, zip(*parts))
     if len(parts) > 1:
         o = np.argsort(t, kind="stable")
