@@ -604,7 +604,7 @@ def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
     from .positivity import Witness, _draw_stack, _drawn_witness, _search
     from .positivity import min_eigenvalue, sample_matrix_positive
 
-    plan = EvalPlan.of(lap)
+    plan = EvalPlan(lap)
     stacks = [range(s, s + 1) for s in range(min(cfg.samples_per_size, 8))]
     for n in cfg.sizes:
         draw = partial(_draw_stack, cfg, lap.g, n, with_h=True)
@@ -615,7 +615,7 @@ def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
                 X, H = drawn[: lap.g], drawn[lap.g]
                 Xn = tuple(-Xi for Xi in X)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    M = plan.run([H, *Xn])[0]
+                    M = plan.run([H, *Xn])
                 me = min_eigenvalue(M)
                 if me < -cfg.tol:
                     return Witness(n=n, X=Xn, H=H.copy(), min_eig=me, sample_index=s)

@@ -22,11 +22,15 @@ from .calculus import _check_laplacian_letters, _laplacian_terms
 from .ncpoly import (
     _RUN_BYTES,
     H_LETTER,
-    EvalPlan,
     MatrixPoint,
     Poly,
     Word,
+    _chunks,
+    _compile,
     _float_coefficient,
+    _float_coefficients,
+    _products,
+    _word_rows,
     word_key,
 )
 
@@ -61,15 +65,18 @@ class MiddleMatrixRep:
 
     @cached_property
     def _cells(self) -> tuple:
-        """Rows, columns and the compiled plan of the nonzero cells, built
-        once per representation."""
+        """The terms of every cell, cells in order, as _evaluate_cells takes
+        them: block rows, block columns, float coefficients, middle words as
+        rows of letters, and those words' prefix levels; built once per
+        representation."""
         import numpy as np
 
-        N = self.size
-        cells = [(i, j) for i in range(N) for j in range(N) if self.Z[i][j]]
-        rows = np.array([i for i, _ in cells], dtype=np.intp)
-        cols = np.array([j for _, j in cells], dtype=np.intp)
-        return rows, cols, EvalPlan([self.Z[i][j]._terms for i, j in cells])
+        terms = [(i, j, mid, c) for i, row in enumerate(self.Z)
+                 for j, z in enumerate(row) for mid, c in z._terms.items()]
+        rows = _word_rows([t[2] for t in terms], None)
+        return (np.array([t[0] for t in terms], dtype=np.intp),
+                np.array([t[1] for t in terms], dtype=np.intp),
+                _float_coefficients([t[3] for t in terms]), rows, *_compile(rows))
 
 
 def _assemble(g: int, terms: dict) -> MiddleMatrixRep:
@@ -152,24 +159,42 @@ def zeroes_violation(rep: MiddleMatrixRep) -> Optional[tuple[int, int]]:
     return None
 
 
-def evaluate_middle(rep: MiddleMatrixRep, X: Sequence[np.ndarray]) -> np.ndarray:
-    """Block evaluation of Z at X: block (i, j) is Z_ij(X).
+def _evaluate_cells(N: int, i, j, coef, rows, levels, index, X: tuple) -> np.ndarray:
+    """The N x N block matrix of terms added into their cells, symmetrized.
 
-    The middle words of every nonzero cell share one plan, compiled once
-    per representation, and each cell sums its own terms in its own order.
-    Returns the (N*n) x (N*n) matrix symmetrized by averaging with its
-    transpose to remove floating point skew.
+    Term t adds coef[t] * P_t to block (i[t], j[t]), where P_t is the
+    product at X of its middle word, rows[t], whose prefix levels and
+    index are compiled by _compile.  Each block sums its terms in order
+    from +0.0 by one np.add.at, which equals, byte for byte, evaluating the
+    block's polynomial word by word.  The (N*n) x (N*n) result is averaged
+    with its transpose to remove floating point skew.
     """
     import numpy as np
 
-    point = MatrixPoint(X=tuple(X))
-    n = point.n
-    N = rep.size
-    rows, cols, plan = rep._cells
-    M = np.zeros((N, n, N, n))
-    M[rows, :, cols, :] = plan.run([None, *point.X])
-    M = M.reshape(N * n, N * n)
+    n = X[0].shape[0]
+    if rows.max(initial=0) > len(X):
+        raise ValueError(f"point supplies {len(X)} matrices, poly uses more")
+    L = np.empty((len(X) + 1, n, n))
+    L[0] = np.eye(n)
+    L[1:] = X
+    M = np.zeros((N, N, n, n))
+    room = _RUN_BYTES // (8 * max(1, n * n)) - len(L)
+    for lo, hi, levels, index in _chunks(rows, levels, index, room)[1]:
+        np.add.at(M, (i[lo:hi], j[lo:hi]),
+                  coef[lo:hi, None, None] * _products(levels, index, L))
+    M = M.transpose(0, 2, 1, 3).reshape(N * n, N * n)
     return (M + M.T) / 2.0
+
+
+def evaluate_middle(rep: MiddleMatrixRep, X: Sequence[np.ndarray]) -> np.ndarray:
+    """Block evaluation of Z at X: block (i, j) is Z_ij(X).
+
+    The terms of every cell and the prefix levels of their middle words are
+    compiled once per representation (rep._cells).  Returns the (N*n) x
+    (N*n) matrix averaged with its transpose (see _evaluate_cells).
+    """
+    point = MatrixPoint(X=tuple(X))
+    return _evaluate_cells(rep.size, *rep._cells, point.X)
 
 
 def _equal_letter_pairs(words: list, pw: np.ndarray) -> tuple:
@@ -229,16 +254,17 @@ def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
     code adds B^l.  Codes are int64 while B^(l+1) < 2^63 for the longest
     word, Python ints past it.  The contributions are summed in a dict in
     the order of _laplacian_terms, as integer numerators over the common
-    denominator, so the same terms survive in the same order.  Each
-    distinct middle word is multiplied out from the identity letter by
-    letter, and each term adds c * product to its cell in term order, as
-    EvalPlan does.
+    denominator, so the same terms survive in the same order.  Border
+    words, cells and middle words come from the codes by integer division;
+    a middle word's digits are its right-aligned row of letters, led by 0s,
+    the identity slot.  The distinct middle words are compiled once, and
+    _evaluate_cells adds each term into its cell in term order, as for
+    evaluate_middle.
     """
     import numpy as np
 
     _check_laplacian_letters(p)
     point = MatrixPoint(X=tuple(X))
-    n = point.n
     words = list(p._terms)
     B = p.g + 1
     top = max(map(len, words), default=0)
@@ -275,27 +301,13 @@ def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
     try:
         coef = np.array([v / L for v in sums.values()])
     except OverflowError:
-        # Name the first coefficient in cell order, as EvalPlan does.
+        # Name the first coefficient in cell order, as _cells does.
         values = list(sums.values())
         for r in np.lexsort((np.arange(S), j, i)):
             _float_coefficient(Fraction(values[r], L))
     mids, m = np.unique(lap // pw[e + 1] % pw[b - a - 1], return_inverse=True)
-    depth = int((b - a).max()) - 1
-    letters = (mids[:, None] // pw[:depth][::-1] % B).astype(np.intp)
-    if letters.size and letters.max() > len(point.X):
-        raise ValueError(f"point supplies {len(point.X)} matrices, poly uses more")
-    # Words right-aligned: a shorter one is led by identity factors, and
-    # I @ I = I exactly.
-    Xs = np.empty((len(point.X) + 1, n, n))
-    Xs[0] = np.eye(n)
-    Xs[1:] = point.X
-    P = Xs[np.zeros(len(mids), dtype=np.intp)]
-    for col in letters.T:
-        P = P @ Xs[col]
-    M = np.zeros((N, N, n, n))
-    step = max(1, _RUN_BYTES // (16 * n * n))
-    for lo in range(0, S, step):
-        s = slice(lo, lo + step)
-        np.add.at(M, (i[s], j[s]), coef[s, None, None] * P[m[s]])
-    M = M.transpose(0, 2, 1, 3).reshape(N * n, N * n)
-    return (M + M.T) / 2.0
+    depth = max(1, int((b - a).max()) - 1)
+    words = (mids[:, None] // pw[:depth][::-1] % B).astype(np.intp)
+    levels, index = _compile(words)
+    return _evaluate_cells(N, i, j, coef, words.take(m, 0), levels, index.take(m),
+                           point.X)

@@ -617,143 +617,141 @@ def _float_coefficient(c: Fraction) -> float:
         ) from None
 
 
-# Bytes of node products and term tables that one EvalPlan.run holds at
-# once, besides its inputs and its result.
+def _float_coefficients(coefs: list) -> np.ndarray:
+    """The coefficients as floats, in order.  Terms often share one
+    coefficient object, so each distinct object is converted once, and the
+    first one out of the double range is the one named."""
+    import numpy as np
+
+    floats = {id(c): c for c in coefs}
+    for k, c in floats.items():
+        floats[k] = _float_coefficient(c)
+    return np.array([floats[id(c)] for c in coefs], dtype=float)
+
+
+# Bytes of products and sum tables that one evaluation (EvalPlan.run or a
+# middle-matrix block) holds at once, besides its inputs and its result.
 _RUN_BYTES = 8 << 20
 
 
-class EvalPlan:
-    """One compiled float evaluation of one or more groups of terms.
+def _word_rows(words: list, slots: Optional[bytes]) -> np.ndarray:
+    """The words as right-aligned rows of letter slots, at least one column
+    wide: slots[x] is the slot of letter x (None: the letter itself), and a
+    shorter word is led by slot 0, which stands for the identity."""
+    import numpy as np
 
-    The words of every group share one prefix trie whose nodes are numbered
-    by depth.  Node 0 is the root and stands for the identity; node k
-    stands for product[parent[k]] @ M[letter[k]], so a prefix common to
-    many words is multiplied once, and each depth is one stacked matmul.
-    A group's value is acc = acc + c * product[node] summed in the group's
-    term order from acc = +0.0, as one sequential np.add.accumulate over a
-    table padded with 0.0 * identity (a sum started at +0.0 is never -0.0,
-    so adding +0.0 leaves it alone).  This equals, byte for byte,
-    multiplying out each word from the identity, letter by letter.  Groups
-    share a table with groups of similar length, so padding at most
-    doubles it.
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    depth = max(1, int(lengths.max(initial=0)))
+    rows = np.zeros((len(words), depth), dtype=np.intp)
+    rows[np.arange(depth) >= depth - lengths[:, None]] = np.frombuffer(
+        b"".join(words).translate(slots), dtype=np.uint8)
+    return rows
+
+
+def _compile(rows: np.ndarray) -> tuple:
+    """The prefix levels of right-aligned rows of letter slots: per column,
+    the distinct prefixes that end there, each as the node of its prefix in
+    the column before and its slot; and each row's node in the last column.
+    Node 0 is the identity and the prefixes of column c are numbered after
+    those of column c - 1, so a prefix that many rows share is one node."""
+    import numpy as np
+
+    order = np.lexsort(rows.T[::-1])
+    C = rows.T.take(order, 1)
+    # Sorted row r starts a new prefix at column c when it differs from
+    # row r - 1 at a column up to c.
+    first = np.ones(C.shape, dtype=bool)
+    np.logical_or.accumulate(C[:, 1:] != C[:, :-1], axis=0, out=first[:, 1:])
+    ends = first.sum(axis=1).cumsum()
+    node = first.cumsum(axis=1)
+    node[1:] += ends[:-1, None]
+    prev = np.zeros_like(node)
+    prev[1:] = node[:-1]
+    parent, slot = prev[first], C[first]
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = node[-1]
+    ends = ends.tolist()
+    return [(parent[a:b], slot[a:b]) for a, b in zip([0] + ends, ends)], index
+
+
+def _cost(levels: list, rows: int) -> int:
+    """Matrices per sample that _products and a sum table of the rows hold
+    at once: every node with the gathered operands of the widest level, or
+    every node with the gathered word products, which then stay with the
+    table."""
+    sizes = [len(parent) for parent, _ in levels]
+    nodes = 1 + sum(sizes)
+    return max(nodes + 2 * max(sizes), nodes + rows, 2 * rows + 1)
+
+
+def _chunks(rows: np.ndarray, levels: list, index: np.ndarray, room: int) -> tuple:
+    """The samples per slice and the chunks (lo, hi, levels, index) of
+    consecutive rows that a run evaluates with room matrices per sample.
+    When one sample of all rows does not fit, the rows are split into
+    chunks that do, unless a chunk is a single row, and each chunk's levels
+    are compiled here."""
+    cost = _cost(levels, len(rows))
+    if cost <= room:
+        return room // cost, [(0, len(rows), levels, index)]
+    # Each column of k rows has at most k nodes.
+    k = max(1, (room - 1) // (rows.shape[1] + 2))
+    return 1, [(lo, lo + k, *_compile(rows[lo : lo + k]))
+               for lo in range(0, len(rows), k)]
+
+
+def _products(levels: list, index: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The products of the compiled words in row order, the letter stack L
+    of shape (slots, ..., n, n) holding the identity in slot 0.  Each level
+    is one stacked matmul of its prefixes' products by their letters, from
+    the identity; a word led by identity slots equals, byte for byte, the
+    word multiplied out from the identity, since I @ I = I exactly."""
+    import numpy as np
+
+    P = np.empty((1 + sum(len(parent) for parent, _ in levels),) + L.shape[1:])
+    P[0] = L[0]
+    lo = 1
+    for parent, slot in levels:
+        hi = lo + len(parent)
+        np.matmul(P.take(parent, 0), L.take(slot, 0), out=P[lo:hi])
+        lo = hi
+    return P.take(index, 0)
+
+
+class EvalPlan:
+    """One polynomial compiled for float evaluation.
+
+    Its words are right-aligned rows of letter slots whose prefix levels
+    are compiled once (_compile), so a prefix common to many words is
+    multiplied once.  Each distinct coefficient object is converted to
+    float once.  A run adds c * product to a running sum from +0.0 in term
+    order, as one sequential np.add.accumulate over a table that starts
+    with the running sum, which equals, byte for byte, multiplying out each
+    word from the identity, letter by letter.
 
     A run holds at most _RUN_BYTES of products and tables: it evaluates a
     stack in slices along its sample axis, and when one sample of the whole
-    plan does not fit, it splits the terms, in order, into chunks whose
-    nodes fit, carrying each group's running sum from chunk to chunk.
+    plan does not fit, it evaluates the terms in consecutive chunks,
+    carrying the running sum from chunk to chunk.
     """
 
-    __slots__ = ("letters", "_starts", "_parent", "_slot", "_first", "_node",
-                 "_coef", "_whole")
+    __slots__ = ("letters", "_rows", "_coef", "_levels", "_index")
 
-    def __init__(self, groups: Sequence[dict]):
-        import numpy as np
-
-        first = [0]
-        for terms in groups:
-            first.append(first[-1] + len(terms))
-        # kids[d] numbers the nodes of depth d + 1 in order of appearance,
-        # keyed by parent << 8 | letter, the parent numbered within depth d.
-        # A repeated word adds no node, so each distinct word is walked
-        # once, in order of first appearance.
-        node_of = dict.fromkeys(chain.from_iterable(groups))
-        kids: list[dict] = [{} for _ in range(max(map(len, node_of), default=0))]
-        for w in node_of:
-            node = 0
-            for level, x in zip(kids, w):
-                node = level.setdefault(node << 8 | x, len(level))
-            node_of[w] = node
-        # Nodes of depth d are numbered from starts[d]; node 0 is the root.
-        starts = [0, 1]
-        for level in kids:
-            starts.append(starts[-1] + len(level))
-        for w, k in node_of.items():
-            node_of[w] = starts[len(w)] + k
-        self.letters = tuple(sorted({key & 255 for level in kids for key in level}))
-        slot = {x: i for i, x in enumerate(self.letters)}
-        self._starts = starts
-        self._parent = np.array([0] + [(key >> 8) + s for level, s in zip(kids, starts)
-                                       for key in level], dtype=np.intp)
-        self._slot = np.array([0] + [slot[key & 255] for level in kids for key in level],
-                              dtype=np.intp)
-        self._first = first
-        self._node = [node_of[w] for terms in groups for w in terms]
-        # Each coefficient object is converted once: terms often share one.
-        floats = {id(c): c for terms in groups for c in terms.values()}
-        for k, c in floats.items():
-            floats[k] = _float_coefficient(c)
-        self._coef = [floats[id(c)] for terms in groups for c in terms.values()]
-        levels = [(a, b, self._parent[a:b], self._slot[a:b])
-                  for a, b in zip(starts[1:-1], starts[2:])]
-        self._whole = _Chunk(starts[-1], len(self.letters), levels,
-                             self._tables(0, len(self._coef), self._node))
-
-    @classmethod
-    def of(cls, p: Poly) -> "EvalPlan":
-        """The plan of one polynomial: a single group."""
-        return cls([p._terms])
-
-    def _tables(self, lo: int, hi: int, nodes: list) -> list:
-        """Padded (groups, nodes, coefficients) tables of the terms
-        lo..hi-1, whose nodes are given.  Band k holds the groups with
-        2^(k-1) < terms <= 2^k."""
-        import numpy as np
-
-        first, coef = self._first, self._coef
-        bands: dict[int, list] = {}
-        for gi in range(len(first) - 1):
-            a, b = max(first[gi], lo), min(first[gi + 1], hi)
-            if a < b:
-                bands.setdefault((b - a - 1).bit_length(), []).append((gi, a, b))
-        tables = []
-        for band in bands.values():
-            width = max(b - a for _, a, b in band)
-            ks = [nodes[a - lo : b - lo] + [0] * (width - b + a) for _, a, b in band]
-            cs = [coef[a:b] + [0.0] * (width - b + a) for _, a, b in band]
-            tables.append((np.array([gi for gi, _, _ in band], dtype=np.intp),
-                           np.array(ks, dtype=np.intp),
-                           np.array(cs)[:, :, None, None, None]))
-        return tables
-
-    def _chunk(self, lo: int, hi: int) -> "_Chunk":
-        """The terms lo..hi-1 with the nodes their words pass through,
-        renumbered in depth order."""
-        import numpy as np
-
-        starts, parent = self._starts, self._parent
-        member = np.zeros(starts[-1], dtype=bool)
-        member[0] = True
-        member[self._node[lo:hi]] = True
-        bounds = list(zip(starts[1:-1], starts[2:]))
-        for a, b in reversed(bounds):
-            member[parent[a:b][member[a:b]]] = True
-        local = np.cumsum(member) - 1
-        levels = []
-        for a, b in bounds:
-            sel = a + np.flatnonzero(member[a:b])
-            if len(sel):
-                k = int(local[sel[0]])
-                levels.append((k, k + len(sel), local[parent[sel]], self._slot[sel]))
-        nodes = local[self._node[lo:hi]].tolist()
-        return _Chunk(int(local[-1]) + 1, len(self.letters), levels,
-                      self._tables(lo, hi, nodes))
-
-    def _split(self, lo: int, hi: int, room: int) -> list:
-        """Chunks of the consecutive terms lo..hi-1, each costing at most
-        room matrices per sample unless it is a single term."""
-        chunk = self._chunk(lo, hi)
-        if chunk.cost <= room or hi - lo == 1:
-            return [chunk]
-        mid = (lo + hi) // 2
-        return self._split(lo, mid, room) + self._split(mid, hi, room)
+    def __init__(self, p: Poly):
+        words = list(p._terms)
+        self.letters = tuple(sorted(set(chain.from_iterable(words))))
+        slots = bytearray(256)
+        for i, x in enumerate(self.letters, 1):
+            slots[x] = i
+        self._rows = _word_rows(words, bytes(slots))
+        self._coef = _float_coefficients(list(p._terms.values()))
+        self._levels, self._index = _compile(self._rows)
 
     def run(self, mats: Sequence[Optional[np.ndarray]]) -> np.ndarray:
-        """Evaluate every group, mats[0] standing for h and mats[i] for x_i.
+        """Evaluate the polynomial, mats[0] standing for h and mats[i] for x_i.
 
         Each matrix is n x n or a stack of S of them, of shape (S, n, n);
         one n x n matrix stands for every sample of a stack.  Returns an
-        array of shape (groups, S, n, n), or (groups, n, n) when no matrix
-        is a stack.
+        array of shape (S, n, n), or (n, n) when no matrix is a stack.
         """
         import numpy as np
 
@@ -766,57 +764,25 @@ class EvalPlan:
         n = shape[-1]
         if len(shape) > 3 or shape[-2:] != (n, n) or not shapes <= {shape, shape[-2:]}:
             raise ValueError(f"matrices of shapes {sorted(shapes)} do not stack")
-        count = shape[0] if len(shape) == 3 else 1
-        acc = np.zeros((len(self._first) - 1, count, n, n))
-        room = _RUN_BYTES // (8 * max(1, n * n))
-        if self._whole.cost <= room:
-            step, chunks = max(1, room // self._whole.cost), [self._whole]
-        else:
-            step, chunks = 1, self._split(0, len(self._coef), room)
-        for s in range(0, count, step):
-            part = acc[:, s : s + step]
-            L = np.empty((len(self.letters),) + part.shape[1:])
-            for i, x in enumerate(self.letters):
+        acc = np.zeros((shape[0] if len(shape) == 3 else 1, n, n))
+        room = _RUN_BYTES // (8 * max(1, n * n)) - 1 - len(self.letters)
+        step, chunks = _chunks(self._rows, self._levels, self._index, room)
+        for s in range(0, len(acc), step):
+            part = acc[s : s + step]
+            L = np.empty((1 + len(self.letters),) + part.shape)
+            L[0] = np.eye(n)
+            for i, x in enumerate(self.letters, 1):
                 M = mats[x]
                 L[i] = M if M.ndim == 2 else M[s : s + step]
-            for chunk in chunks:
-                chunk.run(L, part)
-        return acc if len(shape) == 3 else acc[:, 0]
-
-
-class _Chunk:
-    """Consecutive terms of a plan, ready to run: the levels of its nodes
-    (first and end node, parent nodes and letter slots) and its padded
-    term tables (groups, nodes, coefficients)."""
-
-    __slots__ = ("cost", "_size", "_levels", "_tables")
-
-    def __init__(self, size: int, letters: int, levels: list, tables: list):
-        self._size = size
-        self._levels = levels
-        self._tables = tables
-        # Matrices per sample held at once: the products and letters, then
-        # either a level's gathered operands or a term table with its
-        # gathered products and accumulate buffer.
-        widest = max((hi - lo for lo, hi, _, _ in levels), default=0)
-        self.cost = size + letters + max(
-            [2 * widest] + [3 * ks.shape[0] * (1 + ks.shape[1]) for _, ks, _ in tables])
-
-    def run(self, L: np.ndarray, acc: np.ndarray) -> None:
-        """Add this chunk's terms at the letter stack L (letters, S, n, n)
-        to the running sums acc (groups, S, n, n), in place."""
-        import numpy as np
-
-        P = np.empty((self._size,) + L.shape[1:])
-        P[0] = np.eye(L.shape[-1])
-        for lo, hi, parents, letters in self._levels:
-            np.matmul(P[parents], L[letters], out=P[lo:hi])
-        for groups, ks, cs in self._tables:
-            T = np.empty((len(groups), 1 + ks.shape[1]) + L.shape[1:])
-            T[:, 0] = acc[groups]
-            np.multiply(cs, P[ks], out=T[:, 1:])
-            np.add.accumulate(T, axis=1, out=T)
-            acc[groups] = T[:, -1]
+            for lo, hi, levels, index in chunks:
+                P = _products(levels, index, L)
+                T = np.empty((1 + len(P),) + part.shape)
+                T[0] = part
+                np.multiply(self._coef[lo:hi, None, None, None], P, out=T[1:])
+                np.add.accumulate(T, axis=0, out=T)
+                part[...] = T[-1]
+                del P, T  # before the next products are made
+        return acc if len(shape) == 3 else acc[0]
 
 
 def evaluate(p: Poly, pt: MatrixPoint) -> np.ndarray:
@@ -825,4 +791,4 @@ def evaluate(p: Poly, pt: MatrixPoint) -> np.ndarray:
     Every matrix in pt must be n x n; the result is the n x n real matrix
     obtained by substituting pt.X[i-1] for x_i and pt.H for h.
     """
-    return EvalPlan.of(p).run([pt.H, *pt.X])[0]
+    return EvalPlan(p).run([pt.H, *pt.X])

@@ -15,9 +15,11 @@ positivity (produce a witness with a negative eigenvalue); the one
 per-point certificate available here is positive semidefiniteness of the
 evaluated middle matrix Z(X) of the Laplacian, which guarantees positivity
 of the Laplacian in every direction H at that point.  The point check
-evaluates Z(X) straight from p's words in array passes, byte-equal to
-evaluate_middle(laplacian_middle(p), X), without building the Laplacian or
-its representation.
+builds the terms of Z(X) straight from p's words, without the Laplacian or
+its representation, and evaluates them with evaluate_middle's block
+routine, so Z(X) is byte-equal to evaluate_middle(laplacian_middle(p), X);
+the samplers run one EvalPlan per polynomial, and both multiply words in
+ncpoly's one kernel.
 """
 
 from __future__ import annotations
@@ -394,7 +396,7 @@ def _search(plan: EvalPlan, stacks, draw):
         points, mats = draw(samples)
         # An overflow is refused, naming the value, by the checks below.
         with np.errstate(over="ignore", invalid="ignore"):
-            Z = plan.run(mats)[0]
+            Z = plan.run(mats)
         try:
             eigs = np.linalg.eigvalsh(_check_numeric_symmetry(Z, ndim=3))
         except ValueError:
@@ -413,7 +415,7 @@ def sample_matrix_positive(p: Poly, cfg: SampleConfig) -> SampleVerdict:
     """
     if not p.is_symmetric():
         raise ValueError("sample_matrix_positive requires a symmetric polynomial")
-    plan = EvalPlan.of(p)
+    plan = EvalPlan(p)
     tested = 0
     min_seen = float("inf")
     for n in cfg.sizes:
@@ -468,7 +470,7 @@ def subharmonic_at_point(
         Hs = _draw_matrices(cfg, n, samples, range(p.g, p.g + 1))[:, 0]
         return Hs, [Hs, *X]
 
-    plan = EvalPlan.of(laplacian(p))
+    plan = EvalPlan(laplacian(p))
     for s, H, eigs in _search(plan, _chunks(cfg.h_samples), draw):
         if eigs[0] < -cfg.tol:
             return PointVerdict(

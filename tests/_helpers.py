@@ -219,61 +219,6 @@ def evaluate_oracle(p: Poly, pt: MatrixPoint) -> np.ndarray:
     return acc
 
 
-def eval_plan_oracle(groups):
-    """An EvalPlan compiled by walking the trie level by level once per
-    term and converting every term's coefficient on its own.  This is the
-    library's former constructor, kept because its arrays and tables are
-    the ones EvalPlan must reproduce byte for byte."""
-    from ncharm.ncpoly import EvalPlan, _Chunk, _float_coefficient
-
-    plan = EvalPlan.__new__(EvalPlan)
-    longest = max((max(map(len, terms), default=0) for terms in groups), default=0)
-    kids: list[dict] = [{} for _ in range(longest)]
-    depth, index, first = [], [], [0]
-    for terms in groups:
-        for w in terms:
-            node = 0
-            for level, x in zip(kids, w):
-                node = level.setdefault(node << 8 | x, len(level))
-            depth.append(len(w))
-            index.append(node)
-        first.append(len(index))
-    coef = [_float_coefficient(c) for terms in groups for c in terms.values()]
-    starts = [0, 1]
-    for level in kids:
-        starts.append(starts[-1] + len(level))
-    plan.letters = tuple(sorted({key & 255 for level in kids for key in level}))
-    slot = {x: i for i, x in enumerate(plan.letters)}
-    plan._starts = starts
-    plan._parent = np.array([0] + [(key >> 8) + s for level, s in zip(kids, starts)
-                                   for key in level], dtype=np.intp)
-    plan._slot = np.array([0] + [slot[key & 255] for level in kids for key in level],
-                          dtype=np.intp)
-    plan._first = first
-    plan._node = [starts[d] + k for d, k in zip(depth, index)]
-    plan._coef = coef
-    levels = [(a, b, plan._parent[a:b], plan._slot[a:b])
-              for a, b in zip(starts[1:-1], starts[2:])]
-    plan._whole = _Chunk(starts[-1], len(plan.letters), levels,
-                         plan._tables(0, len(coef), plan._node))
-    return plan
-
-
-def eval_plan_bytes(plan) -> list:
-    """Every array, list and table of a compiled plan, as comparable
-    values: arrays as (dtype, shape, bytes), floats by their hex form."""
-    def arr(a):
-        return (a.dtype.str, a.shape, a.tobytes())
-
-    whole = plan._whole
-    return [
-        plan.letters, plan._starts, arr(plan._parent), arr(plan._slot), plan._first,
-        plan._node, [c.hex() for c in plan._coef], whole.cost, whole._size,
-        [(a, b, arr(p), arr(s)) for a, b, p, s in whole._levels],
-        [(arr(g), arr(k), arr(c)) for g, k, c in whole._tables],
-    ]
-
-
 def ldl_pivots_oracle(M, tol: float):
     """Diagonally pivoted LDL^T by per-pivot numpy calls: the pivot is
     np.argmax of the remaining |diagonal| and the Schur update one

@@ -15,11 +15,13 @@ from ncharm import (
     parse,
     reconstruct,
     sample_matrix_positive,
+    subharmonic_at_point,
     symmetrize,
     word,
     zeroes_violation,
 )
-from ncharm.ncpoly import EvalPlan
+from ncharm.middlematrix import laplacian_middle
+from ncharm.ncpoly import _compile
 
 from _helpers import (
     assert_point_check_matches,
@@ -192,11 +194,11 @@ class TestEvaluateMiddle:
 
         compiled = []
 
-        def counting_plan(groups):
-            compiled.append(len(groups))
-            return EvalPlan(groups)
+        def counting_compile(rows):
+            compiled.append(len(rows))
+            return _compile(rows)
 
-        monkeypatch.setattr(middlematrix, "EvalPlan", counting_plan)
+        monkeypatch.setattr(middlematrix, "_compile", counting_compile)
         rep = extract(laplacian(parse("x1^2*x2^2 + x2^2*x1^2 + x1^4", 2)))
         X = (np.diag([1.0, -2.0]), np.array([[0.5, 1.0], [1.0, 0.0]]))
         first = evaluate_middle(rep, X).tobytes()
@@ -273,6 +275,26 @@ class TestEvaluateLaplacianMiddle:
     ])
     def test_rejected_points(self, X):
         assert isinstance(assert_point_check_matches(parse("x1^4 + x2^4", 2), X), ValueError)
+
+    def test_empty_matrices(self):
+        # At 0 x 0 matrices Z(X) is 0 x 0, whatever the border, and an
+        # empty matrix is PSD.
+        X = (np.zeros((0, 0)),) * 2
+        for text in ("x1^2*x2^2 + x2^2*x1^2 + x1^4", "x1*x2*x1", "x1^2 - x2^2"):
+            assert assert_point_check_matches(parse(text, 2), X).shape == (0, 0)
+        p = parse("x1^2*x2^2 + x2^2*x1^2 + x1^4", 2)
+        assert subharmonic_at_point(p, X, SampleConfig()).kind == "CertifiedAllH"
+
+    def test_first_out_of_range_coefficient_in_cell_order(self):
+        # Lap(p)'s first term comes from x1^4 and its first cell's from
+        # x2*x1^2*x2: both paths name the first in cell order.
+        big = 10 ** 309
+        p = parse(f"{7 * big}*x1^4 + {big}*x2*x1^2*x2", 2)
+        cells = laplacian_middle(p).Z
+        first = next(c for row in cells for z in row for c in z._terms.values())
+        assert first != next(iter(laplacian(p)._terms.values()))
+        err = assert_point_check_matches(p, self.X)
+        assert str(err) == f"coefficient {first} is outside the double range"
 
     def test_entries_near_overflow(self):
         # The point of the LDL overflow example in test_positivity: Z(X)

@@ -18,14 +18,12 @@ from ncharm import (
     word,
 )
 from ncharm.cli import emit_json
-from ncharm import ncpoly
+from ncharm import middlematrix, ncpoly
 from ncharm.harmonicspace import gamma_power_parts
-from ncharm.middlematrix import laplacian_middle
+from ncharm.middlematrix import MiddleMatrixRep, evaluate_middle, laplacian_middle
 from ncharm.ncpoly import EvalPlan
 
 from _helpers import (
-    eval_plan_bytes,
-    eval_plan_oracle,
     evaluate_oracle,
     mul_oracle,
     random_poly,
@@ -287,12 +285,12 @@ class TestEvaluate:
             points = [self._random_point(rnd, g, n) for _ in range(rnd.randint(1, 9))]
             mats = [np.stack([pt.H for pt in points])]
             mats += [np.stack([pt.X[i] for pt in points]) for i in range(g)]
-            stacked = EvalPlan.of(p).run(mats)[0]
+            stacked = EvalPlan(p).run(mats)
             assert stacked.shape == (len(points), n, n)
             for value, pt in zip(stacked, points):
                 assert value.tobytes() == evaluate(p, pt).tobytes()
             # A matrix shared by the whole stack broadcasts against it.
-            shared = EvalPlan.of(p).run([mats[0], *points[0].X])[0]
+            shared = EvalPlan(p).run([mats[0], *points[0].X])
             for value, H in zip(shared, mats[0]):
                 one = MatrixPoint(X=points[0].X, H=H)
                 assert value.tobytes() == evaluate(p, one).tobytes()
@@ -300,7 +298,7 @@ class TestEvaluate:
     def test_coefficient_beyond_double_range(self):
         p = Poly(2, {word(1): Fraction(10**310), word(2): Fraction(1, 3)})
         with pytest.raises(ValueError, match="coefficient 1000.* outside the double range"):
-            EvalPlan.of(p)
+            EvalPlan(p)
         with pytest.raises(ValueError, match="outside the double range"):
             evaluate(p, MatrixPoint(X=(np.eye(2), np.eye(2))))
 
@@ -327,19 +325,21 @@ class TestEvaluate:
 
 
 class TestEvalPlanKernel:
-    """The level-batched kernel against the word-by-word oracle, across its
-    padded term tables, sample slices and term chunks."""
+    """The shared kernel (prefix levels, one stacked matmul per level)
+    against the word-by-word oracle: per cell through evaluate_middle, and
+    across EvalPlan's sample slices and term chunks."""
 
     def _sym(self, rnd, n, bound=2.0):
         A = np.array([[rnd.uniform(-bound, bound) for _ in range(n)] for _ in range(n)])
         return symmetrize(np.where(np.abs(A) < 0.2 * bound, -0.0, A))
 
-    def _groups(self, rnd, g, lengths):
+    def _groups(self, rnd, g, lengths, letters=None):
+        letters = letters or range(0, g + 1)
         polys = []
         for count in lengths:
             terms = {}
             while len(terms) < count:
-                w = bytes(rnd.randint(0, g) for _ in range(rnd.randint(0, 6)))
+                w = bytes(rnd.choice(letters) for _ in range(rnd.randint(0, 6)))
                 terms[w] = Fraction(rnd.randint(-9, 9) or 1, rnd.randint(1, 7))
             polys.append(Poly(g, terms))
         return polys
@@ -347,38 +347,53 @@ class TestEvalPlanKernel:
     def _point(self, rnd, g, n):
         return MatrixPoint(X=tuple(self._sym(rnd, n) for _ in range(g)), H=self._sym(rnd, n))
 
-    def test_unequal_groups_and_signed_zeros_equal_oracle(self):
+    def test_unequal_groups_and_signed_zeros_equal_oracle(self, monkeypatch):
+        # Cells of 0 to 40 terms, whose middle words repeat across cells,
+        # at matrices with signed zeros; then the same with the terms in
+        # chunks of one.
         rnd = random.Random(41)
         for _ in range(30):
-            g = rnd.randint(1, 3)
-            polys = self._groups(rnd, g, [1, 40, 0, 2, 17, 1, 3, 9, 1, 5])
+            g = rnd.randint(2, 3)
+            cells = self._groups(rnd, g, [1, 40, 0, 2, 17, 1, 3, 9, 1], range(1, g + 1))
+            Z = tuple(tuple(cells[3 * i : 3 * i + 3]) for i in range(3))
+            rep = MiddleMatrixRep(g=g, border=(b"", word(1), word(1, 1)), Z=Z)
             pt = self._point(rnd, g, rnd.randint(1, 4))
-            values = EvalPlan([p._terms for p in polys]).run([pt.H, *pt.X])
-            assert values.shape == (len(polys), pt.n, pt.n)
-            for value, p in zip(values, polys):
-                assert value.tobytes() == evaluate_oracle(p, pt).tobytes()
+            n = pt.n
+            want = [[evaluate_oracle(z, pt) for z in row] for row in Z]
+            got = [evaluate_middle(rep, pt.X)]
+            monkeypatch.setattr(middlematrix, "_RUN_BYTES", 8 * n * n)
+            got.append(evaluate_middle(rep, pt.X))
+            monkeypatch.undo()
+            for M in got:
+                assert M.shape == (3 * n, 3 * n)
+                for i in range(3):
+                    for j in range(3):
+                        block = M[i * n : (i + 1) * n, j * n : (j + 1) * n]
+                        cell = (want[i][j] + want[j][i].T) / 2.0
+                        assert block.tobytes() == cell.tobytes()
 
     def test_stack_slices_and_term_chunks_equal_single_points(self, monkeypatch):
         rnd = random.Random(42)
-        polys = self._groups(rnd, 2, [5, 30, 1, 12, 3])
-        plan = EvalPlan([p._terms for p in polys])
+        p = self._groups(rnd, 2, [60])[0]
+        plan = EvalPlan(p)
         n, S = 2, 10
         points = [self._point(rnd, 2, n) for _ in range(S)]
         mats = [np.stack([pt.H for pt in points])]
         mats += [np.stack([pt.X[i] for pt in points]) for i in range(2)]
         runs = [plan.run(mats)]
+        cost = ncpoly._cost(plan._levels, len(plan._rows))
+        letters = 1 + len(plan.letters)
         # Slices of 3 samples: 0-2, 3-5, 6-8 and 9.
-        monkeypatch.setattr(ncpoly, "_RUN_BYTES", 8 * n * n * plan._whole.cost * 3)
+        monkeypatch.setattr(ncpoly, "_RUN_BYTES", 8 * n * n * (3 * cost + letters))
         runs.append(plan.run(mats))
-        # One sample at a time, the terms in chunks that split groups.
-        room = plan._whole.cost // 3
-        monkeypatch.setattr(ncpoly, "_RUN_BYTES", 8 * n * n * room)
-        assert len(plan._split(0, len(plan._coef), room)) > 2
+        # One sample at a time, the terms in chunks.
+        room = cost // 3
+        monkeypatch.setattr(ncpoly, "_RUN_BYTES", 8 * n * n * (room + letters))
+        assert len(ncpoly._chunks(plan._rows, plan._levels, plan._index, room)[1]) > 2
         runs.append(plan.run(mats))
         for s, pt in enumerate(points):
-            for gi, p in enumerate(polys):
-                want = evaluate_oracle(p, pt).tobytes()
-                assert [r[gi, s].tobytes() for r in runs] == [want] * len(runs)
+            want = evaluate_oracle(p, pt).tobytes()
+            assert [r[s].tobytes() for r in runs] == [want] * len(runs)
 
     def test_run_memory_is_bounded(self):
         rnd = random.Random(43)
@@ -386,8 +401,8 @@ class TestEvalPlanKernel:
         while len(terms) < 1000:
             w = bytes(rnd.randint(1, 3) for _ in range(18))
             terms[w] = Fraction(rnd.randint(1, 9), rnd.randint(1, 5))
-        plan = EvalPlan.of(Poly(3, terms))
-        nodes = plan._starts[-1]
+        plan = EvalPlan(Poly(3, terms))
+        nodes = sum(len(parent) for parent, _ in plan._levels)
         S, n = 64, 3
         mats = [None] + [np.stack([self._sym(rnd, n, 1.0) for _ in range(S)])
                          for _ in range(3)]
@@ -405,51 +420,71 @@ class TestEvalPlanKernel:
 
 
 class TestEvalPlanCompile:
-    """The constructor walks each distinct word once and converts each
-    coefficient object once; its arrays and tables equal, byte for byte,
-    those of the former walk of every term level by level."""
+    """Each distinct coefficient object is converted to float once, by
+    EvalPlan and by a middle-matrix representation's cells, and the values
+    still equal the word-by-word oracle."""
 
-    def _assert_same(self, groups):
-        got = eval_plan_bytes(EvalPlan(groups))
-        assert got == eval_plan_bytes(eval_plan_oracle(groups))
+    def _count(self, monkeypatch):
+        calls = []
 
-    def test_repeated_words_shared_fraction_empty_words_and_h(self):
+        def counting(c):
+            calls.append(c)
+            return float(c)
+
+        monkeypatch.setattr(ncpoly, "_float_coefficient", counting)
+        return calls
+
+    def _objects(self, polys):
+        return len({id(c) for p in polys for c in p._terms.values()})
+
+    def test_repeated_words_shared_fraction_empty_words_and_h(self, monkeypatch):
         half, third = Fraction(1, 2), Fraction(-1, 3)
-        self._assert_same([
-            {word(1, 2): half, b"": third, word(0, 1): half},
-            {},
-            {word(1, 2): third, word(2): half, b"": half},
-            {b"": Fraction(1, 2), word(0, 1): Fraction(1, 2), word(0, 0): third},
-            {word(1, 2): half},
-        ])
-        self._assert_same([{b"": half}])
-        self._assert_same([{}])
-        self._assert_same([])
+        pt = MatrixPoint(X=(np.diag([1.0, -2.0]), np.array([[0.5, -0.0], [-0.0, 3.0]])),
+                         H=np.array([[0.0, 1.0], [1.0, -1.0]]))
+        for terms in ({word(1, 2): half, b"": third, word(0, 1): half, word(2): third},
+                      {b"": half}, {}):
+            p = Poly._raw(2, terms)
+            calls = self._count(monkeypatch)
+            plan = EvalPlan(p)
+            assert len(calls) == self._objects([p])
+            assert plan.run([pt.H, *pt.X]).tobytes() == evaluate_oracle(p, pt).tobytes()
 
-    def test_random_groups(self):
+    def test_random_groups(self, monkeypatch):
         rnd = random.Random(44)
         shared = [Fraction(rnd.randint(-9, 9) or 1, rnd.randint(1, 7)) for _ in range(4)]
-        for _ in range(200):
+        for _ in range(50):
             g = rnd.randint(1, 3)
-            words = [bytes(rnd.randint(0, g) for _ in range(rnd.randint(0, 5)))
+            words = [bytes(rnd.randint(1, g) for _ in range(rnd.randint(0, 5)))
                      for _ in range(rnd.randint(1, 12))]
-            groups = []
-            for _ in range(rnd.randint(1, 8)):
+            cells = []
+            for _ in range(4):
                 terms = {}
                 for w in rnd.sample(words, rnd.randint(0, len(words))):
                     terms[w] = rnd.choice(shared + [Fraction(rnd.randint(1, 5), 3)])
-                groups.append(terms)
-            self._assert_same(groups)
+                cells.append(Poly._raw(g, terms))
+            rep = MiddleMatrixRep(g=g, border=(b"", word(1)),
+                                  Z=((cells[0], cells[1]), (cells[2], cells[3])))
+            calls = self._count(monkeypatch)
+            rep._cells
+            assert len(calls) == self._objects(cells)
+            calls = self._count(monkeypatch)
+            EvalPlan(cells[1])
+            assert len(calls) == self._objects(cells[1:2])
 
-    def test_middle_matrix_cells(self):
+    def test_middle_matrix_cells(self, monkeypatch):
         # Cells of a middle matrix repeat their middle words, and the
         # Laplacian shares one Fraction per value across cells.
         q = parse("x1^2 + x2^2", 2)
         p = q * q * q
         rep = laplacian_middle(p)
-        cells = [z._terms for row in rep.Z for z in row if z]
-        self._assert_same(cells)
-        self._assert_same([laplacian(p)._terms])
+        cells = [z for row in rep.Z for z in row if z]
+        calls = self._count(monkeypatch)
+        rep._cells
+        assert len(calls) == self._objects(cells) < sum(map(len, cells))
+        lap = laplacian(p)
+        calls = self._count(monkeypatch)
+        EvalPlan(lap)
+        assert len(calls) == self._objects([lap]) < len(lap)
 
 
 class TestDegreeProfile:
