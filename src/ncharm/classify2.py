@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._exactla import (
@@ -43,7 +43,7 @@ from .harmonicspace import (
     gamma_power_parts,
     harmonic_basis,
 )
-from .ncpoly import H_LETTER, EvalPlan, Poly, Word, render_word, word
+from .ncpoly import H_LETTER, Poly, Word, render_word, word
 
 if TYPE_CHECKING:
     from .positivity import SampleConfig, Witness
@@ -596,32 +596,6 @@ class Verdict:
     witness: Optional[Witness] = None
 
 
-def _odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
-    """Witness search for odd total degree: the Laplacian is odd in x, so
-    if a sampled point is positive, flipping the sign of X flips it."""
-    import numpy as np
-
-    from .positivity import Witness, _draw_stack, _drawn_witness, _search
-    from .positivity import min_eigenvalue, sample_matrix_positive
-
-    plan = EvalPlan(lap)
-    stacks = [range(s, s + 1) for s in range(min(cfg.samples_per_size, 8))]
-    for n in cfg.sizes:
-        draw = partial(_draw_stack, cfg, lap.g, n, with_h=True)
-        for s, drawn, eigs in _search(plan, stacks, draw):
-            if eigs[0] < -cfg.tol:
-                return _drawn_witness(n, s, drawn, lap.g, float(eigs[0]))
-            if eigs[-1] > cfg.tol:
-                X, H = drawn[: lap.g], drawn[lap.g]
-                Xn = tuple(-Xi for Xi in X)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    M = plan.run([H, *Xn])
-                me = min_eigenvalue(M)
-                if me < -cfg.tol:
-                    return Witness(n=n, X=Xn, H=H.copy(), min_eig=me, sample_index=s)
-    return sample_matrix_positive(lap, cfg).witness
-
-
 def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
     """Full classification of a homogeneous polynomial in two variables.
 
@@ -632,7 +606,7 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
     """
     import numpy as np
 
-    from .positivity import SampleConfig, Witness, sample_matrix_positive
+    from .positivity import SampleConfig, Witness, odd_witness, sample_matrix_positive
 
     if cfg is None:
         cfg = SampleConfig()
@@ -657,7 +631,7 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
                        **certificate)
 
     if d % 2 == 1:
-        witness = _odd_witness(lap, cfg)
+        witness = odd_witness(lap, cfg)
         return Verdict(
             kind="NotSubharmonic",
             reason="odd degree with nonzero Laplacian; positivity flips sign under X -> -X",

@@ -178,9 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("harmonic-basis", help="exact harmonic basis for (g, d)")
-    p.add_argument("--vars", type=int, default=2, metavar="G")
+    add_common(p, with_input=False)
     p.add_argument("--degree", type=int, required=True, metavar="D")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("middle-matrix",
                        help="border vector and middle matrix of a polynomial "

@@ -8,6 +8,12 @@ order so the representation is canonical.  Positivity of the evaluated
 block matrix Z(X) certifies positivity of q(X)[H] for every H, and a zero
 diagonal entry facing a nonzero off-diagonal entry rules positivity out
 (the zeroes screen).
+
+The middle matrix of a Laplacian has one exact construction,
+extract(laplacian(p)), and evaluate_middle evaluates it.  The point check
+of positivity.subharmonic_at_point evaluates Z(X) straight from p's words
+(_evaluate_laplacian_middle), byte-equal to
+evaluate_middle(extract(laplacian(p)), X), which is its reference.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .calculus import _check_laplacian_letters, _laplacian_terms
+from .calculus import _check_laplacian_letters
 from .ncpoly import (
     _RUN_BYTES,
     H_LETTER,
@@ -40,7 +46,6 @@ if TYPE_CHECKING:
 __all__ = [
     "MiddleMatrixRep",
     "extract",
-    "laplacian_middle",
     "reconstruct",
     "zeroes_violation",
     "evaluate_middle",
@@ -79,12 +84,18 @@ class MiddleMatrixRep:
                 _float_coefficients([t[3] for t in terms]), rows, *_compile(rows))
 
 
-def _assemble(g: int, terms: dict) -> MiddleMatrixRep:
-    """The representation whose cell (m_i, m_j) holds mid -> c for every
-    term m_i^T h mid h m_j -> c, in the order of terms.  Each word must
-    contain exactly two h letters; otherwise ValueError."""
+def extract(q: Poly) -> MiddleMatrixRep:
+    """Middle-matrix representation of a symmetric, pure-quadratic-in-h q.
+
+    Each word must contain exactly two h letters and q must equal its
+    transpose; violations raise ValueError.  Cell (m_i, m_j) holds mid -> c
+    for every term m_i^T h mid h m_j -> c, in q's term order.
+    reconstruct(extract(q)) == q exactly, and Z_ij^T == Z_ji entrywise.
+    """
+    if not q.is_symmetric():
+        raise ValueError("extract requires a symmetric polynomial")
     splits = []
-    for w, c in terms.items():
+    for w, c in q._terms.items():
         try:
             left, mid, right = w.split(_H)
         except ValueError:
@@ -100,31 +111,8 @@ def _assemble(g: int, terms: dict) -> MiddleMatrixRep:
     for mi, mid, mj, c in splits:
         # A word has one (left, mid, right) split, so no cell entry repeats.
         cells[index[mi]][index[mj]][mid] = c
-    Z = tuple(tuple(Poly._raw(g, cell) for cell in row) for row in cells)
-    return MiddleMatrixRep(g=g, border=tuple(border), Z=Z)
-
-
-def extract(q: Poly) -> MiddleMatrixRep:
-    """Middle-matrix representation of a symmetric, pure-quadratic-in-h q.
-
-    Each word must contain exactly two h letters and q must equal its
-    transpose; violations raise ValueError.  reconstruct(extract(q)) == q
-    exactly, and Z_ij^T == Z_ji entrywise.
-    """
-    if not q.is_symmetric():
-        raise ValueError("extract requires a symmetric polynomial")
-    return _assemble(q.g, q._terms)
-
-
-def laplacian_middle(p: Poly) -> MiddleMatrixRep:
-    """extract(laplacian(p)) for a symmetric h-free p, assembled from the
-    Laplacian's terms without building the Laplacian as a Poly.
-
-    Lap(p) of a symmetric p is symmetric, so only p is tested.
-    """
-    if not p.is_symmetric():
-        raise ValueError("laplacian_middle requires a symmetric polynomial")
-    return _assemble(p.g, _laplacian_terms(p))
+    Z = tuple(tuple(Poly._raw(q.g, cell) for cell in row) for row in cells)
+    return MiddleMatrixRep(g=q.g, border=tuple(border), Z=Z)
 
 
 def reconstruct(rep: MiddleMatrixRep) -> Poly:
@@ -242,7 +230,7 @@ def _equal_letter_pairs(words: list, pw: np.ndarray) -> tuple:
 
 
 def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
-    """evaluate_middle(laplacian_middle(p), X) byte for byte, built from
+    """evaluate_middle(extract(laplacian(p)), X) byte for byte, built from
     array passes over p's words: no Laplacian word, Fraction,
     representation or plan is made.  p must be h-free and symmetric;
     neither is tested here.

@@ -687,16 +687,22 @@ def _cost(levels: list, rows: int) -> int:
 def _chunks(rows: np.ndarray, levels: list, index: np.ndarray, room: int) -> tuple:
     """The samples per slice and the chunks (lo, hi, levels, index) of
     consecutive rows that a run evaluates with room matrices per sample.
-    When one sample of all rows does not fit, the rows are split into
-    chunks that do, unless a chunk is a single row, and each chunk's levels
-    are compiled here."""
+    When one sample of all rows does not fit, the rows are halved, and each
+    half again, until every chunk's _cost fits room or it is a single row;
+    each chunk's levels are compiled here."""
     cost = _cost(levels, len(rows))
     if cost <= room:
         return room // cost, [(0, len(rows), levels, index)]
-    # Each column of k rows has at most k nodes.
-    k = max(1, (room - 1) // (rows.shape[1] + 2))
-    return 1, [(lo, lo + k, *_compile(rows[lo : lo + k]))
-               for lo in range(0, len(rows), k)]
+    chunks, parts = [], [(0, len(rows), levels, index)]
+    while parts:
+        lo, hi, levels, index = parts.pop()
+        if hi - lo <= 1 or _cost(levels, hi - lo) <= room:
+            chunks.append((lo, hi, levels, index))
+        else:
+            mid = (lo + hi) // 2
+            parts += [(mid, hi, *_compile(rows[mid:hi])),
+                      (lo, mid, *_compile(rows[lo:mid]))]
+    return 1, chunks
 
 
 def _products(levels: list, index: np.ndarray, L: np.ndarray) -> np.ndarray:

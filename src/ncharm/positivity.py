@@ -7,19 +7,20 @@ execution order or platform.  splitmix64's state is a Weyl sequence: the
 k-th output of a stream whose state starts at s0 is mix(s0 + k * gamma mod
 2^64).  So one keyed draw, _draw_matrices, computes every entry of every
 matrix of a stack of samples in one pass over uint64 arrays, byte-equal to
-drawing them one at a time with draw_symmetric.  Every random search (the
-sampler, the direction search at a fixed X and the classifier's sign-flip
-search) draws through it and reads its eigenvalues from one loop, _search,
-that evaluates a stack of samples per plan run.  Sampling can only refute
+drawing them one at a time with draw_symmetric.  Every random search
+lives in this module: the sampler, the direction search at a fixed X and
+the sign-flip search for odd degrees (odd_witness).  Each draws through
+_draw_matrices and reads its eigenvalues from one loop, _search, that
+evaluates a stack of samples per plan run.  Sampling can only refute
 positivity (produce a witness with a negative eigenvalue); the one
 per-point certificate available here is positive semidefiniteness of the
 evaluated middle matrix Z(X) of the Laplacian, which guarantees positivity
 of the Laplacian in every direction H at that point.  The point check
 builds the terms of Z(X) straight from p's words, without the Laplacian or
 its representation, and evaluates them with evaluate_middle's block
-routine, so Z(X) is byte-equal to evaluate_middle(laplacian_middle(p), X);
-the samplers run one EvalPlan per polynomial, and both multiply words in
-ncpoly's one kernel.
+routine; its exact reference is evaluate_middle(extract(laplacian(p)), X),
+to which it is byte-equal.  The samplers run one EvalPlan per polynomial,
+and both multiply words in ncpoly's one kernel.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ import numpy as np
 
 from .calculus import laplacian
 from .middlematrix import _evaluate_laplacian_middle
-from .ncpoly import EvalPlan, MatrixPoint, Poly
+from .ncpoly import EvalPlan, Poly
 
 __all__ = [
     "SplitMix64",
     "substream",
     "draw_symmetric",
-    "draw_point",
     "SampleConfig",
     "Witness",
     "SampleVerdict",
@@ -49,6 +49,7 @@ __all__ = [
     "min_eigenvalue",
     "sample_matrix_positive",
     "subharmonic_at_point",
+    "odd_witness",
 ]
 
 _MASK = (1 << 64) - 1
@@ -339,20 +340,6 @@ def _draw_matrices(cfg: SampleConfig, n: int, samples: range, slots: range) -> n
     return np.take(u, lo * (2 * n + 1 - lo) // 2 + hi - lo, axis=-1)
 
 
-def draw_point(
-    cfg: SampleConfig, g: int, n: int, sample: int, with_h: bool
-) -> MatrixPoint:
-    """The sample-th n x n point of cfg: X_i from slot i - 1 and, when
-    with_h, H from slot g.
-
-    Every sampler draws through the same keyed draw, so a matrix depends
-    only on its key (seed, size, sample, slot) and never on which search
-    asked for it.
-    """
-    M = _draw_matrices(cfg, n, range(sample, sample + 1), range(g + with_h))[0]
-    return MatrixPoint(X=tuple(M[:g]), H=M[g] if with_h else None)
-
-
 def _drawn_witness(
     n: int, sample: int, drawn: np.ndarray, g: int, min_eig: float
 ) -> Witness:
@@ -364,10 +351,10 @@ def _drawn_witness(
                    min_eig=min_eig, sample_index=sample)
 
 
-def _chunks(count: int):
+def _stacks(count: int):
     """Split range(count) into consecutive ranges of 2, 4, 8, ... samples.
 
-    A search that stops at its first hit evaluates each chunk as one stack
+    A search that stops at its first hit evaluates each range as one stack
     and so evaluates at most twice the samples it needed.
     """
     start, size = 0, 2
@@ -420,7 +407,7 @@ def sample_matrix_positive(p: Poly, cfg: SampleConfig) -> SampleVerdict:
     min_seen = float("inf")
     for n in cfg.sizes:
         draw = partial(_draw_stack, cfg, p.g, n, with_h=p.contains_h)
-        for s, drawn, eigs in _search(plan, _chunks(cfg.samples_per_size), draw):
+        for s, drawn, eigs in _search(plan, _stacks(cfg.samples_per_size), draw):
             me = float(eigs[0])
             tested += 1
             min_seen = min(min_seen, me)
@@ -445,14 +432,15 @@ def subharmonic_at_point(
     """Decide positivity of the Laplacian of p at a fixed tuple X.
 
     Z(X), the middle matrix of the Laplacian evaluated at X, is computed
-    straight from p's words in array passes, byte-equal to
-    evaluate_middle(laplacian_middle(p), X).  If Z(X) is PSD the verdict
-    holds for every direction H (certificate), and the Laplacian itself is
-    never built.  Otherwise up to cfg.h_samples directions are sampled for
-    a concrete negative eigenvalue of the Laplacian; failing both, the
-    honest answer is Unknown, because an indefinite Z(X) does not by itself
-    refute positivity at X.  p must be h-free and symmetric, and its
-    Laplacian at most MAX_LAPLACIAN_LETTERS letters; otherwise ValueError.
+    straight from p's words in array passes, byte-equal to its exact
+    reference evaluate_middle(extract(laplacian(p)), X).  If Z(X) is PSD
+    the verdict holds for every direction H (certificate), and the
+    Laplacian itself is never built.  Otherwise up to cfg.h_samples
+    directions are sampled for a concrete negative eigenvalue of the
+    Laplacian; failing both, the honest answer is Unknown, because an
+    indefinite Z(X) does not by itself refute positivity at X.  p must be
+    h-free and symmetric, and its Laplacian at most MAX_LAPLACIAN_LETTERS
+    letters; otherwise ValueError.
     """
     if p.contains_h:
         raise ValueError("subharmonic_at_point expects an h-free polynomial")
@@ -471,7 +459,7 @@ def subharmonic_at_point(
         return Hs, [Hs, *X]
 
     plan = EvalPlan(laplacian(p))
-    for s, H, eigs in _search(plan, _chunks(cfg.h_samples), draw):
+    for s, H, eigs in _search(plan, _stacks(cfg.h_samples), draw):
         if eigs[0] < -cfg.tol:
             return PointVerdict(
                 kind="CounterexampleH",
@@ -479,3 +467,24 @@ def subharmonic_at_point(
                                 sample_index=s),
             )
     return PointVerdict(kind="Unknown")
+
+
+def odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
+    """Witness search for odd total degree: the Laplacian is odd in x, so
+    if a sampled point is positive, flipping the sign of X flips it."""
+    plan = EvalPlan(lap)
+    stacks = [range(s, s + 1) for s in range(min(cfg.samples_per_size, 8))]
+    for n in cfg.sizes:
+        draw = partial(_draw_stack, cfg, lap.g, n, with_h=True)
+        for s, drawn, eigs in _search(plan, stacks, draw):
+            if eigs[0] < -cfg.tol:
+                return _drawn_witness(n, s, drawn, lap.g, float(eigs[0]))
+            if eigs[-1] > cfg.tol:
+                X, H = drawn[: lap.g], drawn[lap.g]
+                Xn = tuple(-Xi for Xi in X)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    M = plan.run([H, *Xn])
+                me = min_eigenvalue(M)
+                if me < -cfg.tol:
+                    return Witness(n=n, X=Xn, H=H.copy(), min_eig=me, sample_index=s)
+    return sample_matrix_positive(lap, cfg).witness

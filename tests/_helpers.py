@@ -129,17 +129,14 @@ def sweep_points() -> list:
 
 def assert_point_check_matches(p: Poly, X):
     """The point check's Z(X), _evaluate_laplacian_middle(p, X), against
-    the exact route evaluate_middle(laplacian_middle(p), X): the same
+    its exact reference evaluate_middle(extract(laplacian(p)), X): the same
     shape and bytes, or the same ValueError.  Returns Z(X) or the error."""
-    from ncharm.middlematrix import (
-        _evaluate_laplacian_middle,
-        evaluate_middle,
-        laplacian_middle,
-    )
+    from ncharm.calculus import laplacian
+    from ncharm.middlematrix import _evaluate_laplacian_middle, evaluate_middle, extract
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            want = evaluate_middle(laplacian_middle(p), X)
+            want = evaluate_middle(extract(laplacian(p)), X)
         except ValueError as exc:
             try:
                 _evaluate_laplacian_middle(p, X)

@@ -119,6 +119,15 @@ class TestNeighbors:
 
 
 class TestGramForm:
+    @pytest.mark.parametrize("text, message", [
+        ("x1*x2^3", "requires a symmetric polynomial"),
+        ("x1^3", "requires homogeneous even degree >= 2"),
+        ("x1^4 + x2^2", "requires homogeneous even degree >= 2"),
+    ])
+    def test_refuses_outside_domain(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            gram_from_neighbors(parse(text, 2))
+
     def test_square_of_re_gamma3_rank_one(self):
         re3 = gamma_power_parts(3)[0]
         form = gram_from_neighbors(re3 * re3)
@@ -286,6 +295,10 @@ class TestDegree4:
         assert region.Hh * region.G == 1
         assert region.Jj ** 2 + region.K ** 2 == 4
 
+    def test_coefficients_need_two_variables(self):
+        with pytest.raises(ValueError, match="degree-4 polynomial in 2 variables"):
+            degree4_coefficients(parse("x1^4 + x3^4", 3))
+
     def test_family_polynomial(self):
         B = Degree4Coeffs(1, 0, 0, 0, 0, 0)
         re2 = gamma_power_parts(2)[0]
@@ -317,6 +330,10 @@ class TestHighEvenMembership:
 
     def test_non_member(self):
         assert high_even_membership(parse("x1^6", 2)) is None
+
+    def test_two_variables_only(self):
+        with pytest.raises(ValueError, match="membership is defined for two variables"):
+            high_even_membership(parse("x1^6", 3))
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
@@ -585,6 +602,10 @@ class TestOddSandwich:
         s = odd_sandwich(Poly.zero(2))
         assert s.phi == ()
         assert s.reconstruct().is_zero()
+
+    def test_refuses_h(self):
+        with pytest.raises(ValueError, match="odd_sandwich expects an h-free polynomial"):
+            odd_sandwich(parse("h*x1*h", 2))
 
     def test_not_harmonic(self):
         with pytest.raises(ValueError):

@@ -249,6 +249,9 @@ class TestOddSandwich:
         assert code == 0
         assert "phi[1][x1][1] = 1" in out
 
+    def test_zero_text(self):
+        assert run(["odd-sandwich", "0"]) == (0, "zero polynomial: empty sandwich\n", "")
+
     def test_json_round_trip(self):
         code, out, _ = run(
             [
@@ -393,6 +396,7 @@ class TestInputDomain:
              "--sizes must be comma separated integers, got '1,,3'"),
             (["classify", "--sizes", "2,", "x1^6-x2^6"],
              "--sizes must be comma separated integers, got '2,'"),
+            (["laplacian", "1/0*x1^2"], "zero denominator at position 2"),
         ],
     )
     def test_rejected_with_exit_two(self, argv, message):

@@ -46,6 +46,10 @@ class TestCongruence:
             assert sum(1 for d in D if d > 0) == int(np.sum(eigs > 1e-9))
             assert sum(1 for d in D if d < 0) == int(np.sum(eigs < -1e-9))
 
+    def test_refuses_asymmetric(self):
+        with pytest.raises(ValueError, match="requires a symmetric matrix"):
+            congruence_diagonalize([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
+
     def test_psd_agrees_with_numeric(self):
         rnd = random.Random(62)
         for _ in range(40):

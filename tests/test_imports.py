@@ -5,6 +5,7 @@ Each case runs in a fresh interpreter, because an earlier import in the
 test process would hide what a command loads.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -111,3 +112,24 @@ print(json.dumps([before, names, missing, ncharm.__version__]))
     assert names == PUBLIC_NAMES
     assert missing == []
     assert version == "0.1.0"
+
+
+def test_sampler_internals_stay_in_positivity():
+    # The sampler's stack format (_draw_stack, _drawn_witness, _search) is
+    # private to positivity: no other module imports or reads a private
+    # positivity name.
+    found = []
+    for path in sorted((SRC / "ncharm").glob("*.py")):
+        if path.stem == "positivity":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "positivity", "ncharm.positivity"):
+                names = [a.name for a in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "positivity"):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.startswith("_")]
+    assert found == []

@@ -20,7 +20,6 @@ from ncharm import (
     word,
     zeroes_violation,
 )
-from ncharm.middlematrix import laplacian_middle
 from ncharm.ncpoly import _compile
 
 from _helpers import (
@@ -249,8 +248,9 @@ class TestEvaluateMiddle:
 
 
 class TestEvaluateLaplacianMiddle:
-    """The point check's array evaluation of Z(X) against laplacian_middle
-    then evaluate_middle: the same bytes, or the same ValueError."""
+    """The point check's array evaluation of Z(X) against its exact
+    reference, evaluate_middle(extract(laplacian(p)), X): the same bytes, or
+    the same ValueError."""
 
     X = (np.array([[0.5, -1.0], [-1.0, 2.0]]), np.array([[0.0, 0.25], [0.25, -3.0]]))
 
@@ -290,7 +290,7 @@ class TestEvaluateLaplacianMiddle:
         # x2*x1^2*x2: both paths name the first in cell order.
         big = 10 ** 309
         p = parse(f"{7 * big}*x1^4 + {big}*x2*x1^2*x2", 2)
-        cells = laplacian_middle(p).Z
+        cells = extract(laplacian(p)).Z
         first = next(c for row in cells for z in row for c in z._terms.values())
         assert first != next(iter(laplacian(p)._terms.values()))
         err = assert_point_check_matches(p, self.X)

@@ -20,7 +20,7 @@ from ncharm import (
 from ncharm.cli import emit_json
 from ncharm import middlematrix, ncpoly
 from ncharm.harmonicspace import gamma_power_parts
-from ncharm.middlematrix import MiddleMatrixRep, evaluate_middle, laplacian_middle
+from ncharm.middlematrix import MiddleMatrixRep, evaluate_middle, extract
 from ncharm.ncpoly import EvalPlan
 
 from _helpers import (
@@ -395,6 +395,44 @@ class TestEvalPlanKernel:
             want = evaluate_oracle(p, pt).tobytes()
             assert [r[s].tobytes() for r in runs] == [want] * len(runs)
 
+    def test_split_chunks_fit_their_room(self, monkeypatch):
+        # At n = 64 a degree-8 Laplacian does not fit one run: its terms
+        # are halved into consecutive chunks whose cost each fits the room,
+        # and both EvalPlan.run and evaluate_middle equal an unsplit run.
+        re4 = gamma_power_parts(4)[0]
+        re8, im8 = gamma_power_parts(8)
+        lap = laplacian(re4 * re4 + re8.scale(Fraction(-3, 2)) + im8.scale(Fraction(2, 5)))
+        plan, rep = EvalPlan(lap), extract(lap)
+        n = 64
+        for rows, levels, index, room in (
+            (plan._rows, plan._levels, plan._index,
+             ncpoly._RUN_BYTES // (8 * n * n) - 1 - len(plan.letters)),
+            (rep._cells[3], *rep._cells[4:], ncpoly._RUN_BYTES // (8 * n * n) - 3),
+        ):
+            step, chunks = ncpoly._chunks(rows, levels, index, room)
+            assert step == 1 and len(chunks) > 1
+            bounds = [(lo, hi) for lo, hi, _, _ in chunks]
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == len(rows)
+            assert all(ncpoly._cost(lv, hi - lo) <= room for lo, hi, lv, _ in chunks)
+        pt = self._point(random.Random(45), 2, n)
+        split = [plan.run([pt.H, *pt.X]), evaluate_middle(rep, pt.X)]
+        monkeypatch.setattr(ncpoly, "_RUN_BYTES", 1 << 40)
+        monkeypatch.setattr(middlematrix, "_RUN_BYTES", 1 << 40)
+        whole = [plan.run([pt.H, *pt.X]), evaluate_middle(rep, pt.X)]
+        assert [M.tobytes() for M in split] == [M.tobytes() for M in whole]
+
+    @pytest.mark.parametrize("shapes", [
+        [(2, 2), (3, 3)],
+        [(2, 2, 2), (3, 2, 2)],
+        [(2, 3), (2, 3)],
+        [(1, 1, 2, 2), (2, 2)],
+    ])
+    def test_run_refuses_matrices_that_do_not_stack(self, shapes):
+        plan = EvalPlan(parse("x1*x2 + x2*x1", 2))
+        with pytest.raises(ValueError, match=r"matrices of shapes \[.*\] do not stack"):
+            plan.run([None, *map(np.zeros, shapes)])
+
     def test_run_memory_is_bounded(self):
         rnd = random.Random(43)
         terms = {}
@@ -476,7 +514,7 @@ class TestEvalPlanCompile:
         # Laplacian shares one Fraction per value across cells.
         q = parse("x1^2 + x2^2", 2)
         p = q * q * q
-        rep = laplacian_middle(p)
+        rep = extract(laplacian(p))
         cells = [z for row in rep.Z for z in row if z]
         calls = self._count(monkeypatch)
         rep._cells

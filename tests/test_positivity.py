@@ -304,14 +304,6 @@ class TestDrawKernel:
                             letters.append(mats[0])
                         for k, w in enumerate(want):
                             assert [L[k].tobytes() for L in letters] == w[: g + with_h]
-                        for k, s in enumerate(samples):
-                            pt = positivity.draw_point(cfg, g, n, s, with_h)
-                            got = [M.tobytes() for M in pt.X]
-                            if with_h:
-                                got.append(pt.H.tobytes())
-                            else:
-                                assert pt.H is None
-                            assert got == want[k][: g + with_h]
 
     def test_no_overflow_warning(self):
         # Every uint64 product and sum wraps on arrays, silently.
@@ -355,11 +347,9 @@ class TestSamplersDrawInOnePass:
         assert len(points_made) == 1 and points_made[0].H is None
 
     def test_sign_flip_search(self, points_made):
-        from ncharm.classify2 import _odd_witness
-
         lap = laplacian(parse("x1^3", 2))
         for seed in (0, 1):
-            assert _odd_witness(lap, SampleConfig(seed=seed)).sample_index == 0
+            assert positivity.odd_witness(lap, SampleConfig(seed=seed)).sample_index == 0
         assert points_made == []
 
 
@@ -384,12 +374,10 @@ class TestWitnessesOwnTheirArrays:
         assert all(a is b for a, b in zip(w.X, X))
 
     def test_sign_flip_search(self):
-        from ncharm.classify2 import _odd_witness
-
         lap = laplacian(parse("x1^3", 2))
         # Seed 0 refutes at the flipped point, seed 1 at the drawn one.
         for seed, flipped in ((0, True), (1, False)):
-            w = _odd_witness(lap, SampleConfig(seed=seed))
+            w = positivity.odd_witness(lap, SampleConfig(seed=seed))
             drawn = draw_symmetric(substream(seed, w.n, w.sample_index, 0), w.n, 1.0)
             assert np.array_equal(w.X[0], -drawn if flipped else drawn)
             assert self._owned(w)
@@ -424,6 +412,7 @@ class TestSampleConfig:
             ("entry_range", True),
             ("tol", "1e-9"),
             ("entry_range", None),
+            ("sizes", ()),
         ],
     )
     def test_rejects_out_of_domain(self, field, value):

@@ -24,7 +24,7 @@ from ncharm import (
 from ncharm._exactla import RowSpan
 from ncharm.classify2 import _combine
 from ncharm.cli import emit_json
-from ncharm.middlematrix import extract, laplacian_middle, reconstruct
+from ncharm.middlematrix import extract, reconstruct
 
 from _helpers import (
     assert_point_check_matches,
@@ -159,17 +159,15 @@ def symmetric_h_free(draw):
 # Lap words h*h*x2 and x2*h*h are deleted and inserted again.
 @example(parse("x1^2*x2 - x2^3 + x3^2*x2 + x2*x1^2 + x2*x3^2", 3))
 @given(symmetric_h_free())
-def test_laplacian_middle_equals_extract_of_laplacian(p):
-    got, want = laplacian_middle(p), extract(laplacian(p))
-    assert (got.g, got.border) == (want.g, want.border)
-    for got_row, want_row in zip(got.Z, want.Z):
-        for z, w in zip(got_row, want_row):
-            assert list(z._terms.items()) == list(w._terms.items())
-    values = [c for row in got.Z for z in row for c in z._terms.values()]
+def test_extract_of_laplacian_shares_one_fraction_per_value(p):
+    lap = laplacian(p)
+    rep = extract(lap)
+    assert reconstruct(rep) == lap
+    values = [c for row in rep.Z for z in row for c in z._terms.values()]
     assert len({id(c) for c in values}) == len(set(values))
 
 
-def test_laplacian_middle_term_order_with_edge_letters():
+def test_extract_of_laplacian_term_order_with_edge_letters():
     # Mixed lengths over x1, x2 and x254 (MAX_VARS), with repeats at both
     # ends so that Lap words start and end with h: same border and the
     # same cell term order as extract of the Fraction reference.
@@ -183,7 +181,7 @@ def test_laplacian_middle_term_order_with_edge_letters():
             terms[w] = terms.get(w, 0) + Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
         q = Poly(254, terms)
         p = q + q.transpose()
-        got, want = laplacian_middle(p), extract(laplacian_fraction_reference(p))
+        got, want = extract(laplacian(p)), extract(laplacian_fraction_reference(p))
         assert (got.g, got.border) == (want.g, want.border)
         for got_row, want_row in zip(got.Z, want.Z):
             for z, w in zip(got_row, want_row):
@@ -199,7 +197,7 @@ def test_point_check_equals_evaluate_middle(p, n, seed):
 
 
 def test_point_check_with_edge_letters():
-    # The words of test_laplacian_middle_term_order_with_edge_letters, up
+    # The words of test_extract_of_laplacian_term_order_with_edge_letters, up
     # to 8 letters over x1, x2 and x254: codes past int64 from 7 letters.
     rnd = random.Random(30)
     X = random_point(rnd, 254, 2)
