@@ -32,6 +32,16 @@ Row = dict  # column index -> nonzero Fraction
 MAX_NULLSPACE_ENTRIES = 1 << 24
 
 
+def _subtract(dst: Row, factor: Fraction, src: Row) -> None:
+    """dst -= factor * src in place, deleting the columns that reach zero."""
+    for c, v in src.items():
+        s = dst.get(c, 0) - factor * v
+        if s:
+            dst[c] = s
+        else:
+            dst.pop(c)
+
+
 class SparseRref:
     """Incrementally built reduced row echelon form with sparse rows.
 
@@ -54,14 +64,8 @@ class SparseRref:
         row = {c: Fraction(v) for c, v in row.items() if v}
         for c in sorted(set(row) & set(self.pivots)):
             factor = row.get(c)
-            if not factor:
-                continue
-            for cc, v in self.pivots[c].items():
-                s = row.get(cc, 0) - factor * v
-                if s:
-                    row[cc] = s
-                else:
-                    row.pop(cc, None)
+            if factor:
+                _subtract(row, factor, self.pivots[c])
         return row
 
     def insert(self, row: Row) -> Optional[int]:
@@ -74,14 +78,8 @@ class SparseRref:
         row = {c: v * inv for c, v in row.items()}
         for prow in self.pivots.values():
             factor = prow.get(lead)
-            if not factor:
-                continue
-            for cc, v in row.items():
-                s = prow.get(cc, 0) - factor * v
-                if s:
-                    prow[cc] = s
-                else:
-                    prow.pop(cc, None)
+            if factor:
+                _subtract(prow, factor, row)
         self.pivots[lead] = row
         return lead
 

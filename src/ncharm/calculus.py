@@ -13,8 +13,9 @@ second t-derivative, with no symbolic expansion.  Each contribution is
 keyed by an integer code of its output word: a leading 1 byte, then one
 byte per letter, so the code of a replacement is the word's code less the
 two letters' shifted values (h is letter 0, and a letter below 256 fills
-one byte).  Coefficients are summed as integer numerators over one common
-denominator, and each surviving code is decoded to its word once.
+one byte).  Coefficients are summed by ncpoly._sum_terms, as integer
+numerators over one common denominator, and each surviving code is decoded
+to its word once.
 
 Collapsing to commuting variables turns each word into its letter-count
 exponent vector; under that collapse the free Laplacian becomes h^2 times
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .ncpoly import H_LETTER, Poly, Word
+from .ncpoly import H_LETTER, Poly, _sum_terms
 
 __all__ = [
     "directional_derivative",
@@ -59,22 +60,13 @@ def directional_derivative(p: Poly, i: int) -> Poly:
     if not 1 <= i <= p.g:
         raise ValueError(f"variable index {i} out of range 1..{p.g}")
     _require_h_free(p, "directional_derivative")
-    out: dict[Word, Fraction] = {}
     h = bytes([H_LETTER])
-    for w, c in p._terms.items():
-        start = 0
-        while True:
-            pos = w.find(i, start)
-            if pos < 0:
-                break
-            new = w[:pos] + h + w[pos + 1 :]
-            s = out.get(new, 0) + c
-            if s:
-                out[new] = s
-            else:
-                del out[new]
-            start = pos + 1
-    return Poly._raw(p.g, out)
+    return Poly._raw(p.g, _sum_terms(
+        (w[:pos] + h + w[pos + 1 :], c)
+        for w, c in p._terms.items()
+        for pos, letter in enumerate(w)
+        if letter == i
+    ))
 
 
 def _check_laplacian_letters(p: Poly) -> None:
@@ -103,34 +95,31 @@ def _laplacian_terms(p: Poly) -> dict:
     int.from_bytes(b"\\x01" + w) less the shifted values of the two
     replaced letters, since h is letter 0.  The leading 1 keeps words of
     different lengths, and words that start with h, apart.  Contributions
-    are summed as integer numerators over the least common denominator L
-    of the coefficients, and each distinct value builds its Fraction once.
-    A running sum is zero exactly when the Fraction sum would be, so terms
-    are deleted and reinserted, and the result ordered, as a Fraction
-    accumulation over the words would leave them.
+    are summed by _sum_terms as integer numerators over the least common
+    denominator L of the coefficients, and each distinct value builds its
+    Fraction once.  A running sum is zero exactly when the Fraction sum
+    would be, so the terms and their order are those of a Fraction sum.
     """
     _require_h_free(p, "laplacian")
     _check_laplacian_letters(p)
     L = math.lcm(*(c.denominator for c in p._terms.values()))
-    out: dict[int, int] = {}
-    for w, c in p._terms.items():
-        # The shifted value of each letter, grouped by letter in order of
-        # first appearance; a letter is below 256, so it owns one byte.
-        shifted: dict[int, list[int]] = {}
-        shift = 8 * len(w)
-        for letter in w:
-            shift -= 8
-            shifted.setdefault(letter, []).append(letter << shift)
-        code = int.from_bytes(b"\x01" + w, "big")
-        c2 = 2 * c.numerator * (L // c.denominator)
-        for values in shifted.values():
-            for va, vb in combinations(values, 2):
-                key = code - va - vb
-                s = out.get(key, 0) + c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+
+    def contributions():
+        for w, c in p._terms.items():
+            # The shifted value of each letter, grouped by letter in order
+            # of first appearance; a letter is below 256, so it owns one byte.
+            shifted: dict[int, list[int]] = {}
+            shift = 8 * len(w)
+            for letter in w:
+                shift -= 8
+                shifted.setdefault(letter, []).append(letter << shift)
+            code = int.from_bytes(b"\x01" + w, "big")
+            c2 = 2 * c.numerator * (L // c.denominator)
+            for values in shifted.values():
+                for va, vb in combinations(values, 2):
+                    yield code - va - vb, c2
+
+    out = _sum_terms(contributions())
     # One Fraction per distinct value: equal coefficients are one object,
     # which is_symmetric compares by identity first.
     shared = {v: Fraction(v, L) for v in set(out.values())}
@@ -168,6 +157,14 @@ class CommPoly:
     @classmethod
     def zero(cls, g: int) -> "CommPoly":
         return cls(g)
+
+    @classmethod
+    def _raw(cls, g: int, terms: dict) -> "CommPoly":
+        """Internal constructor skipping validation; terms must be clean."""
+        cp = cls.__new__(cls)
+        cp.g = g
+        cp._terms = terms
+        return cp
 
     def terms(self):
         for exps in sorted(self._terms):
@@ -236,18 +233,10 @@ class CommPoly:
 
 def commutative_collapse(p: Poly) -> CommPoly:
     """Send each word to its exponent vector; coinciding vectors merge."""
-    out: dict[tuple, Fraction] = {}
-    for w, c in p._terms.items():
-        exps = tuple(w.count(i) for i in range(1, p.g + 1)) + (w.count(H_LETTER),)
-        s = out.get(exps, 0) + c
-        if s:
-            out[exps] = s
-        else:
-            del out[exps]
-    cp = CommPoly.__new__(CommPoly)
-    cp.g = p.g
-    cp._terms = out
-    return cp
+    return CommPoly._raw(p.g, _sum_terms(
+        (tuple(w.count(i) for i in range(1, p.g + 1)) + (w.count(H_LETTER),), c)
+        for w, c in p._terms.items()
+    ))
 
 
 def commutative_laplacian(cp: CommPoly) -> CommPoly:
@@ -255,21 +244,11 @@ def commutative_laplacian(cp: CommPoly) -> CommPoly:
 
     The input must not involve h (trailing exponent zero everywhere).
     """
-    out: dict[tuple, Fraction] = {}
-    for exps, c in cp._terms.items():
-        if exps[-1] != 0:
-            raise ValueError("commutative_laplacian input must be h-free")
-        for i in range(cp.g):
-            e = exps[i]
-            if e < 2:
-                continue
-            new = exps[:i] + (e - 2,) + exps[i + 1 :]
-            s = out.get(new, 0) + c * e * (e - 1)
-            if s:
-                out[new] = s
-            else:
-                del out[new]
-    result = CommPoly.__new__(CommPoly)
-    result.g = cp.g
-    result._terms = out
-    return result
+    if any(exps[-1] for exps in cp._terms):
+        raise ValueError("commutative_laplacian input must be h-free")
+    return CommPoly._raw(cp.g, _sum_terms(
+        (exps[:i] + (e - 2,) + exps[i + 1 :], c * e * (e - 1))
+        for exps, c in cp._terms.items()
+        for i, e in enumerate(exps[:-1])
+        if e >= 2
+    ))

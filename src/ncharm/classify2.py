@@ -43,7 +43,7 @@ from .harmonicspace import (
     gamma_power_parts,
     harmonic_basis,
 )
-from .ncpoly import H_LETTER, Poly, Word, render_word, word
+from .ncpoly import H_LETTER, Poly, Word, _sum_terms, render_word, word
 
 if TYPE_CHECKING:
     from .positivity import SampleConfig, Witness
@@ -82,21 +82,13 @@ MAX_SANDWICH_ENTRIES = 1 << 18
 
 
 def _combine(g: int, pairs) -> Poly:
-    """sum c*q over (coefficient, polynomial) pairs, accumulated in one
-    dict in pair order and then term order: the terms and their order that
-    repeated Poly.__add__ leaves.  A zero coefficient adds nothing and a
-    coefficient of 1 is not multiplied."""
-    out: dict[Word, Fraction] = {}
-    for c, q in pairs:
-        if not c:
-            continue
-        for w, v in q._terms.items():
-            s = out.get(w, 0) + (v if c == 1 else c * v)
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-    return Poly._raw(g, out)
+    """sum c*q over (coefficient, polynomial) pairs, by _sum_terms in pair
+    order and then term order: the terms and their order that repeated
+    Poly.__add__ leaves.  A zero coefficient adds nothing and a coefficient
+    of 1 is not multiplied, so shared Fractions stay shared."""
+    return Poly._raw(g, _sum_terms(
+        (w, v if c == 1 else c * v) for c, q in pairs if c for w, v in q._terms.items()
+    ))
 
 
 # ---------------------------------------------------------------------------

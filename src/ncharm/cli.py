@@ -409,7 +409,11 @@ def _cmd_eval(args, stdin, out) -> int:
 
     p = _read_poly(args, stdin)
     with open(args.point, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"the point file {args.point} nests too deeply "
+                             "to decode") from None
     if not isinstance(spec, dict) or not isinstance(spec.get("X"), list):
         raise ValueError("the point file must be a JSON object whose X is a list "
                          "of square matrices")

@@ -20,7 +20,7 @@ from itertools import product
 from typing import Optional
 
 from ._exactla import RowSpan, sparse_nullspace
-from .ncpoly import Poly, Word, check_num_vars, word_key
+from .ncpoly import Poly, Word, check_num_vars, render_word, word_key
 from .calculus import laplacian
 
 __all__ = [
@@ -162,7 +162,7 @@ def _vectorize(p: Poly, index: dict) -> list[Fraction]:
     vec = [Fraction(0)] * len(index)
     for w, c in p._terms.items():
         if w not in index:
-            raise ValueError(f"word {w!r} does not belong to the word list")
+            raise ValueError(f"word {render_word(w)} does not belong to the word list")
         vec[index[w]] = c
     return vec
 

@@ -30,13 +30,14 @@ from .ncpoly import (
     H_LETTER,
     MatrixPoint,
     Poly,
-    Word,
     _chunks,
     _compile,
     _float_coefficient,
     _float_coefficients,
     _products,
+    _sum_terms,
     _word_rows,
+    render_word,
     word_key,
 )
 
@@ -101,7 +102,7 @@ def extract(q: Poly) -> MiddleMatrixRep:
         except ValueError:
             raise ValueError(
                 "every word must contain exactly two h letters; "
-                f"offending word {w!r}"
+                f"offending word {render_word(w)}"
             ) from None
         splits.append((left[::-1], mid, right, c))
     border = sorted({m for mi, _, mj, _ in splits for m in (mi, mj)}, key=word_key)
@@ -117,19 +118,14 @@ def extract(q: Poly) -> MiddleMatrixRep:
 
 def reconstruct(rep: MiddleMatrixRep) -> Poly:
     """The polynomial sum_ij m_i^T h Z_ij h m_j."""
-    out: dict[Word, Fraction] = {}
-    for i, mi in enumerate(rep.border):
-        prefix = mi[::-1] + _H
-        for j, mj in enumerate(rep.border):
-            suffix = _H + mj
-            for mid, c in rep.Z[i][j]._terms.items():
-                w = prefix + mid + suffix
-                s = out.get(w, 0) + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-    return Poly._raw(rep.g, out)
+    prefixes = [m[::-1] + _H for m in rep.border]
+    suffixes = [_H + m for m in rep.border]
+    return Poly._raw(rep.g, _sum_terms(
+        (prefix + mid + suffix, c)
+        for prefix, row in zip(prefixes, rep.Z)
+        for suffix, z in zip(suffixes, row)
+        for mid, c in z._terms.items()
+    ))
 
 
 def zeroes_violation(rep: MiddleMatrixRep) -> Optional[tuple[int, int]]:
@@ -240,9 +236,9 @@ def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
     different lengths have different codes, and codes sort in canonical
     word order.  A Laplacian word of length l may start with h = 0, so its
     code adds B^l.  Codes are int64 while B^(l+1) < 2^63 for the longest
-    word, Python ints past it.  The contributions are summed in a dict in
-    the order of _laplacian_terms, as integer numerators over the common
-    denominator, so the same terms survive in the same order.  Border
+    word, Python ints past it.  The contributions are summed by _sum_terms
+    in the order of _laplacian_terms, as integer numerators over the
+    common denominator, so the same terms survive in the same order.  Border
     words, cells and middle words come from the codes by integer division;
     a middle word's digits are its right-aligned row of letters, led by 0s,
     the identity slot.  The distinct middle words are compiled once, and
@@ -266,13 +262,7 @@ def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
     L = math.lcm(*dens)
     c2 = [2 * c.numerator * (L // d) for c, d in zip(coefs, dens)]
     codes = lap.tolist()
-    sums: dict[int, int] = {}
-    for key, v in zip(codes, map(c2.__getitem__, t.tolist())):
-        s = sums.get(key, 0) + v
-        if s:
-            sums[key] = s
-        else:
-            del sums[key]
+    sums = _sum_terms(zip(codes, map(c2.__getitem__, t.tolist())))
     if not sums:
         return np.zeros((0, 0))
     # One contribution per term: those of one code share its word.

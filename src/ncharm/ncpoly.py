@@ -110,6 +110,27 @@ def render_word(w: Word) -> str:
     return "*".join(parts)
 
 
+def _sum_terms(pairs, out: Optional[dict] = None) -> dict:
+    """Sum (key, value) pairs, values nonzero, into out (a new dict by
+    default) in order, and return it.
+
+    A sum of zero deletes its key, so a later pair puts that key back at
+    the end.  Every exact accumulation in the package sums here, so this
+    one rule sets the order of every term dict, and with it the order in
+    which a float evaluation adds the terms.
+    """
+    if out is None:
+        out = {}
+    get = out.get
+    for k, v in pairs:
+        s = get(k, 0) + v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
 def _validate_word(w: Word, g: int) -> None:
     for letter in w:
         if letter > g:
@@ -233,14 +254,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return self._raw(self.g, out)
+        return self._raw(self.g, _sum_terms(other._terms.items(), dict(self._terms)))
 
     __radd__ = __add__
 
@@ -269,16 +283,11 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[Word, Fraction] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return self._raw(self.g, out)
+        return self._raw(self.g, _sum_terms(
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self._terms.items()
+            for w2, c2 in other._terms.items()
+        ))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

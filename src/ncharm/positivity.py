@@ -35,7 +35,7 @@ import numpy as np
 
 from .calculus import laplacian
 from .middlematrix import _evaluate_laplacian_middle
-from .ncpoly import EvalPlan, Poly
+from .ncpoly import _RUN_BYTES, EvalPlan, Poly
 
 __all__ = [
     "SplitMix64",
@@ -351,17 +351,21 @@ def _drawn_witness(
                    min_eig=min_eig, sample_index=sample)
 
 
-def _stacks(count: int):
-    """Split range(count) into consecutive ranges of 2, 4, 8, ... samples.
+def _stacks(count: int, n: int, slots: int):
+    """Split range(count) into consecutive ranges of 2, 4, 8, ... samples,
+    each at most the cap whose draw and evaluated stack fit _RUN_BYTES:
+    per sample, slots n x n matrices drawn from n(n+1)/2 states and as many
+    uniforms each, and one evaluated n x n matrix, at 8 bytes an entry.
 
     A search that stops at its first hit evaluates each range as one stack
     and so evaluates at most twice the samples it needed.
     """
-    start, size = 0, 2
+    cap = max(1, _RUN_BYTES // (8 * n * (slots * (2 * n + 1) + n)))
+    start, size = 0, min(2, cap)
     while start < count:
         stop = min(count, start + size)
         yield range(start, stop)
-        start, size = stop, 2 * size
+        start, size = stop, min(2 * size, cap)
 
 
 def _draw_stack(
@@ -407,7 +411,8 @@ def sample_matrix_positive(p: Poly, cfg: SampleConfig) -> SampleVerdict:
     min_seen = float("inf")
     for n in cfg.sizes:
         draw = partial(_draw_stack, cfg, p.g, n, with_h=p.contains_h)
-        for s, drawn, eigs in _search(plan, _stacks(cfg.samples_per_size), draw):
+        stacks = _stacks(cfg.samples_per_size, n, p.g + p.contains_h)
+        for s, drawn, eigs in _search(plan, stacks, draw):
             me = float(eigs[0])
             tested += 1
             min_seen = min(min_seen, me)
@@ -459,7 +464,7 @@ def subharmonic_at_point(
         return Hs, [Hs, *X]
 
     plan = EvalPlan(laplacian(p))
-    for s, H, eigs in _search(plan, _stacks(cfg.h_samples), draw):
+    for s, H, eigs in _search(plan, _stacks(cfg.h_samples, n, 1), draw):
         if eigs[0] < -cfg.tol:
             return PointVerdict(
                 kind="CounterexampleH",

@@ -305,6 +305,14 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    def test_deeply_nested_point_file(self, tmp_path):
+        # The JSON decoder recurses once per level and raised RecursionError.
+        point = tmp_path / "point.json"
+        point.write_text('{"X": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(["eval", "--point", str(point), "x1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: the point file {point} nests too deeply to decode\n"
+
 
 class TestSample:
     def test_counterexample_exit(self):
@@ -397,6 +405,7 @@ class TestInputDomain:
             (["classify", "--sizes", "2,", "x1^6-x2^6"],
              "--sizes must be comma separated integers, got '2,'"),
             (["laplacian", "1/0*x1^2"], "zero denominator at position 2"),
+            (["middle-matrix", "x1^2"], "offending word x1^2\n"),
         ],
     )
     def test_rejected_with_exit_two(self, argv, message):

@@ -206,6 +206,9 @@ class TestExpressInBasis:
         with pytest.raises(ValueError):
             express_in_basis(Poly.variable(3, 1), basis)
 
+    def test_word_outside_the_list_is_named(self):
+        with pytest.raises(ValueError, match=r"^word h\*x1 does not belong to the word list$"):
+            express_in_basis(parse("h*x1", 2), harmonic_basis(2, 2))
 
     def test_matches_residual_oracle(self):
         rnd = random.Random(1018)

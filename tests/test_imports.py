@@ -133,3 +133,22 @@ def test_sampler_internals_stay_in_positivity():
                 continue
             found += [(path.name, n) for n in names if n.startswith("_")]
     assert found == []
+
+
+def test_one_ordered_term_sum():
+    # Term order comes from one rule, ncpoly._sum_terms: a sum of zero
+    # deletes its key and a later term puts the key back at the end.  No
+    # other function deletes a dict entry by subscript.
+    found = []
+    for path in sorted((SRC / "ncharm").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Delete) and any(
+                    isinstance(t, ast.Subscript) for t in node.targets):
+                found.append((path.stem, owner.get(node), node.lineno))
+    assert [(m, f) for m, f, _ in found] == [("ncpoly", "_sum_terms")], found

@@ -134,6 +134,17 @@ class TestArithmetic:
         assert (x1 + (-x1)).is_zero()
         assert len(x1 - x1) == 0
 
+    def test_sum_terms_order(self):
+        # A key whose sum reaches zero is deleted; a later pair re-inserts
+        # it at the end.
+        got = ncpoly._sum_terms([("a", 1), ("b", 2), ("a", -1), ("c", 3), ("a", 4)])
+        assert list(got.items()) == [("b", 2), ("c", 3), ("a", 4)]
+        # out is extended in place and returned.
+        out = {"x": 1, "y": 2}
+        assert ncpoly._sum_terms([("x", -1), ("z", 5), ("x", 7), ("y", 1)], out) is out
+        assert list(out.items()) == [("y", 3), ("z", 5), ("x", 7)]
+        assert ncpoly._sum_terms([]) == {}
+
     def test_scale_by_zero(self):
         assert (x1 * x2).scale(0).is_zero()
 

@@ -353,6 +353,59 @@ class TestSamplersDrawInOnePass:
         assert points_made == []
 
 
+class TestStackCap:
+    """A stack holds at most the samples whose draw and evaluated matrices
+    fit _RUN_BYTES, and capping changes no verdict: draws are keyed per
+    sample."""
+
+    @staticmethod
+    def capped(monkeypatch, n, slots, search):
+        # Three samples' worth of the bytes _stacks counts per sample.
+        monkeypatch.setattr(positivity, "_RUN_BYTES",
+                            3 * 8 * n * (slots * (2 * n + 1) + n))
+        lengths = []
+        draw = positivity._draw_matrices
+        monkeypatch.setattr(positivity, "_draw_matrices",
+                            lambda cfg, n, samples, slots: lengths.append(len(samples))
+                            or draw(cfg, n, samples, slots))
+        verdict = search()
+        monkeypatch.undo()
+        assert max(lengths) == 3
+        return verdict
+
+    @staticmethod
+    def witness_bytes(w):
+        if w is None:
+            return None
+        return (w.n, w.sample_index, w.min_eig.hex(), w.H is None or w.H.tobytes(),
+                [M.tobytes() for M in w.X])
+
+    @pytest.mark.parametrize("weight, seed", [(4, 5), (8, 9), (4, 0)])
+    def test_sampler(self, monkeypatch, weight, seed):
+        # At n = 3, seed 5 first refutes at sample 10, seed 9 at sample 9,
+        # and seed 0 not at all.
+        K = parse("x1*x2 - x2*x1", 2)
+        p = K * K + parse("x1^4 + x2^4", 2).scale(weight)
+        cfg = SampleConfig(seed=seed, sizes=(3,), samples_per_size=12)
+        for q in (p, laplacian(p)):
+            search = functools.partial(sample_matrix_positive, q, cfg)
+            got = self.capped(monkeypatch, 3, q.g + q.contains_h, search)
+            want = search()
+            assert (got.kind, got.samples_tested, got.min_eigenvalue_seen.hex()) == (
+                want.kind, want.samples_tested, want.min_eigenvalue_seen.hex())
+            assert self.witness_bytes(got.witness) == self.witness_bytes(want.witness)
+
+    @pytest.mark.parametrize("h_samples, kind", [(20, "CounterexampleH"), (7, "Unknown")])
+    def test_direction_search(self, monkeypatch, h_samples, kind):
+        X = TestSubharmonicAtPoint.LATE_X
+        search = functools.partial(subharmonic_at_point, parse("x1^3", 2), X,
+                                   SampleConfig(seed=14, h_samples=h_samples))
+        got = self.capped(monkeypatch, 2, 1, search)
+        want = search()
+        assert got.kind == want.kind == kind
+        assert self.witness_bytes(got.witness) == self.witness_bytes(want.witness)
+
+
 class TestWitnessesOwnTheirArrays:
     """A witness holds copies, never views that pin a whole drawn stack."""
 
