@@ -5,7 +5,8 @@ middle-matrix, classify, sos, odd-sandwich, eval, sample.
 
 Input polynomials come from an inline argument, --file, or stdin; passing
 both an inline polynomial and --file is an error rather than a silent
-precedence.  Exit codes: 0 success, 1 a NotSubharmonic / Counterexample
+precedence.  An inline polynomial that starts with '-' goes after '--', or
+argparse reads it as an option.  Exit codes: 0 success, 1 a NotSubharmonic / Counterexample
 verdict from classify or sample (pipeline friendly), 2 parse or validation
 errors.  All diagnostics go to stderr; results go to stdout and are byte
 deterministic for a fixed seed.  The environment variable NCHARM_SEED
@@ -43,7 +44,6 @@ from .ncpoly import (
     evaluate,
     parse,
     render_word,
-    symmetrize,
 )
 
 if TYPE_CHECKING:
@@ -152,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         if with_input:
             p.add_argument("poly", nargs="?", default=None,
-                           help="inline polynomial text")
+                           help="inline polynomial text (after -- if it "
+                                "starts with '-')")
             p.add_argument("--file", default=None, metavar="PATH",
                            help="read the polynomial from a file")
 
@@ -392,7 +393,9 @@ def _cmd_odd_sandwich(args, stdin, out) -> int:
 
 
 def _square_matrix(entry, name: str):
-    """A point-file entry, symmetrized; refused by name unless square 2-D."""
+    """A point-file entry, refused by name unless square 2-D and, when its
+    entries are finite, exactly symmetric (MatrixPoint names a non-finite
+    entry)."""
     import numpy as np
 
     try:
@@ -401,7 +404,9 @@ def _square_matrix(entry, name: str):
         M = None
     if M is None or M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"point entry {name} is not a square matrix")
-    return symmetrize(M)
+    if np.isfinite(M).all() and not (M == M.T).all():
+        raise ValueError(f"point entry {name} is not symmetric")
+    return M
 
 
 def _cmd_eval(args, stdin, out) -> int:

@@ -13,7 +13,9 @@ The middle matrix of a Laplacian has one exact construction,
 extract(laplacian(p)), and evaluate_middle evaluates it.  The point check
 of positivity.subharmonic_at_point evaluates Z(X) straight from p's words
 (_evaluate_laplacian_middle), byte-equal to
-evaluate_middle(extract(laplacian(p)), X), which is its reference.
+evaluate_middle(extract(laplacian(p)), X), which is its reference.  It sums
+its exact numerators by ncpoly._sum_codes, the array form of the ordered
+term sum, and it alone calls that form.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .ncpoly import (
     _float_coefficient,
     _float_coefficients,
     _products,
+    _sum_codes,
     _sum_terms,
     _word_rows,
     render_word,
@@ -236,9 +239,12 @@ def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
     different lengths have different codes, and codes sort in canonical
     word order.  A Laplacian word of length l may start with h = 0, so its
     code adds B^l.  Codes are int64 while B^(l+1) < 2^63 for the longest
-    word, Python ints past it.  The contributions are summed by _sum_terms
-    in the order of _laplacian_terms, as integer numerators over the
-    common denominator, so the same terms survive in the same order.  Border
+    word, Python ints past it.  The contributions, in the order of
+    _laplacian_terms, are summed by _sum_codes as integer numerators over
+    the common denominator: int64 while max |numerator| times their count
+    stays below 2^63, Python ints past it.  It applies _sum_terms's rule,
+    so the same terms survive in the same order, and gives one
+    contribution per term, which fixes its word.  Border
     words, cells and middle words come from the codes by integer division;
     a middle word's digits are its right-aligned row of letters, led by 0s,
     the identity slot.  The distinct middle words are compiled once, and
@@ -261,15 +267,15 @@ def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
     dens = [c.denominator for c in coefs]
     L = math.lcm(*dens)
     c2 = [2 * c.numerator * (L // d) for c, d in zip(coefs, dens)]
-    codes = lap.tolist()
-    sums = _sum_terms(zip(codes, map(c2.__getitem__, t.tolist())))
-    if not sums:
+    # No total exceeds the largest numerator times their count.
+    top = max(map(abs, c2)) * len(t)
+    c2 = np.array(c2, dtype=object if top >= 1 << 63 else np.int64)
+    k, sums = _sum_codes(lap, c2[t])
+    S = len(k)
+    if not S:
         return np.zeros((0, 0))
     # One contribution per term: those of one code share its word.
-    last = dict(zip(codes, range(len(codes))))
-    k = np.array([last[key] for key in sums])
     t, a, b, e, lap = t[k], a[k], b[k], e[k], lap[k]
-    S = len(k)
     # Border words: the reversed part before the first h, the part after
     # the second.
     border, cell = np.unique(np.concatenate((rcode[t] % pw[a], lap % pw[e])),
@@ -277,10 +283,14 @@ def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
     N = len(border)
     i, j = cell[:S], cell[S:]
     try:
-        coef = np.array([v / L for v in sums.values()])
+        # Both below 2^53, dividing their doubles rounds as v / L does.
+        if top < 1 << 53 and L < 1 << 53:
+            coef = sums / L
+        else:
+            coef = np.array([v / L for v in sums.tolist()])
     except OverflowError:
         # Name the first coefficient in cell order, as _cells does.
-        values = list(sums.values())
+        values = sums.tolist()
         for r in np.lexsort((np.arange(S), j, i)):
             _float_coefficient(Fraction(values[r], L))
     mids, m = np.unique(lap // pw[e + 1] % pw[b - a - 1], return_inverse=True)

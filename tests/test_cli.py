@@ -115,6 +115,10 @@ class TestLaplacian:
         assert code == 0
         assert parse(out.strip(), 2) == parse("2*h^2*x1 + 2*h*x1*h + 2*x1*h^2", 2)
 
+    def test_leading_minus_after_double_dash(self):
+        # Without "--", argparse reads "-x1^2" as an unknown option.
+        assert run(["laplacian", "--", "-x1^2"]) == (0, "-2*h^2\n", "")
+
 
 class TestCollapseCheck:
     def test_identity_holds(self):
@@ -293,6 +297,9 @@ class TestEval:
         ({"X": [[[1.0]], [[1.0]]], "H": [[1.0], [2.0]]},
          "point entry H is not a square matrix"),
         ({"X": [[["a"]]]}, "point entry X[0] is not a square matrix"),
+        # Each matrix is taken as written, not mirrored from its upper triangle.
+        ({"X": [[[1, 2], [3, 1]], [[1, 0], [0, 1]]]}, "point entry X[0] is not symmetric"),
+        ({"X": [[[1, 0], [0, 1]]], "H": [[0, 1], [2, 0]]}, "point entry H is not symmetric"),
         ({"X": 5}, "the point file must be a JSON object whose X is a list"),
         ({"Y": []}, "the point file must be a JSON object whose X is a list"),
         ([1, 2], "the point file must be a JSON object whose X is a list"),

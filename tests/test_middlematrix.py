@@ -323,6 +323,21 @@ class TestEvaluateLaplacianMiddle:
         X = random_point(random.Random(37), 2, 3)
         assert_point_check_matches(parse(f"{k}*x1^3 + x2*x1^2*x2 - {k}*x2^4", 2), X)
 
+    def test_totals_past_int64(self):
+        # Each numerator 2*k fits int64, but Lap word h^2*x2^2 sums three.
+        k = 2 ** 61 + 1
+        q = parse(f"{k}*(x1^2 + x3^2 + x4^2)*x2^2", 4)
+        X = random_point(random.Random(41), 4, 2)
+        assert_point_check_matches(q + q.transpose(), X)
+
+    def test_numerators_past_2_53(self):
+        # The int64 sum of 2*k over L = 3 exceeds 2^53: dividing doubles
+        # would round 2*k first, one ulp off the correctly rounded 2*k/3.
+        k = 25578818557822486
+        assert float(2 * k) / 3 != 2 * k / 3
+        X = random_point(random.Random(40), 2, 2)
+        assert_point_check_matches(parse(f"{k}/3*x1^4 + x2^4", 2), X)
+
     def test_terms_cancelled_and_reinserted(self):
         # Lap words h*h*x2 and x2*h*h sum to zero and come back, with
         # 40-digit coefficients.

@@ -8,6 +8,8 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from ncharm._exactla import RowSpan
 from ncharm.classify2 import _combine
 from ncharm.cli import emit_json
 from ncharm.middlematrix import extract, reconstruct
+from ncharm.ncpoly import _sum_codes, _sum_terms, word
 
 from _helpers import (
     assert_point_check_matches,
@@ -212,6 +215,19 @@ def test_point_check_with_edge_letters():
         assert_point_check_matches(q + q.transpose(), X)
 
 
+def test_point_check_codes_past_int64_cancelled_and_reinserted():
+    # With u = x1*x2*x254*x1*x2, Lap word u*h^2*x2 cancels within u*x2^3 and
+    # comes back from u*x254^2*x2, after u*h*x2*h: words of 8 letters over
+    # x1, x2 and x254, so the codes are Python ints.
+    u = (1, 2, 254, 1, 2)
+    q = parse("x1*x2*x254*x1*x2*(x1^2*x2 - x2^3 + x254^2*x2)", 254)
+    p = q + q.transpose()
+    terms = list(laplacian(p)._terms)
+    assert terms.index(word(*u, 0, 0, 2)) > terms.index(word(*u, 0, 2, 0))
+    for n in (1, 2, 3):
+        assert_point_check_matches(p, random_point(random.Random(39), 254, n))
+
+
 def test_point_check_on_sweep_points():
     points = sweep_points()
     assert len(points) == 32
@@ -254,3 +270,26 @@ def test_degree4_boundary_is_certified(Hh, Jj, K, b1, b2, G0):
     assert v.kind == "SubharmonicBoundaryCertified"
     assert v.sos.reconstruct() == laplacian(p)
     assert all(weight > 0 for weight, _ in v.sos.terms)
+
+
+# Running sums over a few keys with values in {+-1, +-2} hit zero, so keys
+# leave and come back; shifted past 2^63, keys and values are Python ints.
+@bounded
+@pytest.mark.parametrize("offset, scale, dtype", [(0, 1, np.int64),
+                                                   (1 << 64, 1 << 63, object)])
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([-2, -1, 1, 2])),
+                max_size=40))
+def test_sum_codes_follows_the_ordered_term_sum(offset, scale, dtype, pairs):
+    keys = [offset + k for k, _ in pairs]
+    values = [scale * v for _, v in pairs]
+    first, totals = _sum_codes(np.array(keys, dtype=dtype), np.array(values, dtype=dtype))
+    want = _sum_terms(zip(keys, values))
+    assert [keys[i] for i in first] == list(want)
+    assert totals.tolist() == list(want.values())
+    # Each key's index is the pair that put it in last.
+    entered, run = {}, {}
+    for i, (k, v) in enumerate(zip(keys, values)):
+        if not run.get(k):
+            entered[k] = i
+        run[k] = run.get(k, 0) + v
+    assert first.tolist() == [entered[k] for k in want]
