@@ -297,12 +297,12 @@ class TestEval:
         ({"X": [[[1.0]], [[1.0]]], "H": [[1.0], [2.0]]},
          "point entry H is not a square matrix"),
         ({"X": [[["a"]]]}, "point entry X[0] is not a square matrix"),
-        # Each matrix is taken as written, not mirrored from its upper triangle.
-        ({"X": [[[1, 2], [3, 1]], [[1, 0], [0, 1]]]}, "point entry X[0] is not symmetric"),
-        ({"X": [[[1, 0], [0, 1]]], "H": [[0, 1], [2, 0]]}, "point entry H is not symmetric"),
         ({"X": 5}, "the point file must be a JSON object whose X is a list"),
         ({"Y": []}, "the point file must be a JSON object whose X is a list"),
         ([1, 2], "the point file must be a JSON object whose X is a list"),
+        # Each matrix is taken as written, not mirrored from its upper triangle.
+        ({"X": [[[1, 2], [3, 1]], [[1, 0], [0, 1]]]}, "point entry X[0] is not symmetric"),
+        ({"X": [[[1, 0], [0, 1]]], "H": [[0, 1], [2, 0]]}, "point entry H is not symmetric"),
     ])
     def test_malformed_point_file(self, tmp_path, spec, message):
         point = tmp_path / "point.json"
