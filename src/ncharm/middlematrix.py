@@ -268,8 +268,8 @@ def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
     L = math.lcm(*dens)
     c2 = [2 * c.numerator * (L // d) for c, d in zip(coefs, dens)]
     # No total exceeds the largest numerator times their count.
-    top = max(map(abs, c2)) * len(t)
-    c2 = np.array(c2, dtype=object if top >= 1 << 63 else np.int64)
+    bound = max(map(abs, c2)) * len(t)
+    c2 = np.array(c2, dtype=object if bound >= 1 << 63 else np.int64)
     k, sums = _sum_codes(lap, c2[t])
     S = len(k)
     if not S:
@@ -282,15 +282,11 @@ def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
                              return_inverse=True)
     N = len(border)
     i, j = cell[:S], cell[S:]
+    values = sums.tolist()
     try:
-        # Both below 2^53, dividing their doubles rounds as v / L does.
-        if top < 1 << 53 and L < 1 << 53:
-            coef = sums / L
-        else:
-            coef = np.array([v / L for v in sums.tolist()])
+        coef = np.array([v / L for v in values])
     except OverflowError:
         # Name the first coefficient in cell order, as _cells does.
-        values = sums.tolist()
         for r in np.lexsort((np.arange(S), j, i)):
             _float_coefficient(Fraction(values[r], L))
     mids, m = np.unique(lap // pw[e + 1] % pw[b - a - 1], return_inverse=True)

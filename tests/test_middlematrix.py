@@ -331,8 +331,8 @@ class TestEvaluateLaplacianMiddle:
         assert_point_check_matches(q + q.transpose(), X)
 
     def test_numerators_past_2_53(self):
-        # The int64 sum of 2*k over L = 3 exceeds 2^53: dividing doubles
-        # would round 2*k first, one ulp off the correctly rounded 2*k/3.
+        # The total 2*k over L = 3 is past 2^53: rounding 2*k to a double
+        # before dividing would land one ulp off the correctly rounded 2*k/3.
         k = 25578818557822486
         assert float(2 * k) / 3 != 2 * k / 3
         X = random_point(random.Random(40), 2, 2)
