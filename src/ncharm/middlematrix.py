@@ -11,9 +11,10 @@ diagonal entry facing a nonzero off-diagonal entry rules positivity out
 
 The middle matrix of a Laplacian has one exact construction,
 extract(laplacian(p)), and evaluate_middle evaluates it.  The point check
-of positivity.subharmonic_at_point evaluates Z(X) straight from p's words
-(_evaluate_laplacian_middle), byte-equal to
-evaluate_middle(extract(laplacian(p)), X), which is its reference.  It sums
+of positivity.subharmonic_at_point evaluates Z(X) from a table of cells
+built in one int64 pass over p's words (_laplacian_cells), byte-equal to
+evaluate_middle(extract(laplacian(p)), X), which is its reference; an input
+that the pass does not fit in int64 goes to that reference.  The pass sums
 its exact numerators by ncpoly._sum_codes, the array form of the ordered
 term sum, and it alone calls that form.
 """
@@ -22,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .calculus import _check_laplacian_letters
+from .calculus import _check_laplacian_letters, laplacian
 from .ncpoly import (
     _RUN_BYTES,
     H_LETTER,
@@ -34,7 +34,6 @@ from .ncpoly import (
     Poly,
     _chunks,
     _compile,
-    _float_coefficient,
     _float_coefficients,
     _products,
     _sum_codes,
@@ -57,8 +56,12 @@ __all__ = [
 
 _H = bytes([H_LETTER])
 
-# The most (word, pair of positions) slots _equal_letter_pairs
-# compares for equal letters at once.
+# The most slots, words times C(longest length, 2), that _laplacian_cells
+# compares for equal letters; past it the reference takes the input.  At
+# the cap, on 37,448 8-letter words over x1..x126 that pair only their
+# ends, the table takes 0.13 s and 31 MB of traced peak memory and the
+# reference 0.53 s and 29 MB; on 8,417 random 16-letter words over x1, x2,
+# half of whose slots pair, the table takes 0.67 s and 102 MB.
 _PAIR_SLOTS = 1 << 20
 
 
@@ -184,114 +187,86 @@ def evaluate_middle(rep: MiddleMatrixRep, X: Sequence[np.ndarray]) -> np.ndarray
     return _evaluate_cells(rep.size, *rep._cells, point.X)
 
 
-def _equal_letter_pairs(words: list, pw: np.ndarray) -> tuple:
-    """Every pair of equal letters of every word, in the order in which
-    _laplacian_terms expands them: by word, then by letter in order of
-    first appearance, then by pair of positions.
+def _laplacian_cells(p: Poly) -> tuple:
+    """N and the terms of extract(laplacian(p))._cells in Lap(p)'s term
+    order, so each cell's terms in their order there, from one array pass
+    over p's words: no Laplacian word, Fraction, representation or plan is
+    made.  Inputs the pass does not fit in int64 go to that exact
+    reference instead.  p must be h-free and symmetric; neither is tested
+    here.
 
-    Returns, per pair, the word index t, the positions a < b, the number e
-    of letters after b and the code of the word with both letters replaced
-    by h; and, per word, the code of its reversal.  pw[k] is B^k.  The
-    words of one length are compared as one uint8 array, at most
-    _PAIR_SLOTS (word, pair of positions) slots at a time.
-    """
-    import numpy as np
-
-    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    A = np.frombuffer(b"".join(words), dtype=np.uint8)
-    starts = np.cumsum(lengths) - lengths
-    rcode = np.empty(len(words), dtype=pw.dtype)
-    parts = []
-    for l in sorted(set(map(len, words)) - {0, 1}):
-        ts = np.flatnonzero(lengths == l)
-        W = A[starts[ts, None] + np.arange(l)]
-        code = W @ pw[l - 1 :: -1] + pw[l]
-        rcode[ts] = W @ pw[:l]
-        ia, ib = np.nonzero(np.less.outer(np.arange(l), np.arange(l)))
-        step = max(1, _PAIR_SLOTS // len(ia))
-        for lo in range(0, len(ts), step):
-            block = W[lo : lo + step]
-            rows, k = np.nonzero(block[:, ia] == block[:, ib])
-            a, b = ia[k], ib[k]
-            x = block[rows, a]
-            # A word's pairs by letter, letters by first appearance.
-            first = (block[:, :, None] == block[:, None, :]).argmax(2)
-            o = np.argsort(rows * l + first[rows, a], kind="stable")
-            rows, a, b, x = rows[o] + lo, a[o], b[o], x[o]
-            e = l - 1 - b
-            lap = code[rows] - x * (pw[l - 1 - a] + pw[e])
-            parts.append((ts[rows], a, b, e, lap))
-    t, a, b, e, lap = map(np.concatenate, zip(*parts))
-    if len(parts) > 1:
-        o = np.argsort(t, kind="stable")
-        t, a, b, e, lap = t[o], a[o], b[o], e[o], lap[o]
-    return t, a, b, e, lap, rcode
-
-
-def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
-    """evaluate_middle(extract(laplacian(p)), X) byte for byte, built from
-    array passes over p's words: no Laplacian word, Fraction,
-    representation or plan is made.  p must be h-free and symmetric;
-    neither is tested here.
-
-    Words are integer codes in base B = g + 1 with the letters as digits.
-    An x-word's code is its digit string: no letter is 0, so words of
+    Words are int64 codes in base B = g + 1 with the letters as digits.  An
+    x-word's code is its digit string: no letter is 0, so words of
     different lengths have different codes, and codes sort in canonical
     word order.  A Laplacian word of length l may start with h = 0, so its
-    code adds B^l.  Codes are int64 while B^(l+1) < 2^63 for the longest
-    word, Python ints past it.  The contributions, in the order of
-    _laplacian_terms, are summed by _sum_codes as integer numerators over
-    the common denominator: int64 while max |numerator| times their count
-    stays below 2^63, Python ints past it.  It applies _sum_terms's rule,
-    so the same terms survive in the same order, and gives one
-    contribution per term, which fixes its word.  Border
-    words, cells and middle words come from the codes by integer division;
-    a middle word's digits are its right-aligned row of letters, led by 0s,
-    the identity slot.  The distinct middle words are compiled once, and
-    _evaluate_cells adds each term into its cell in term order, as for
-    evaluate_middle.
+    code adds B^l.  p's words are read at once as right-aligned rows led by
+    0s, which add nothing to a code; column c carries B^(top-1-c).  Every
+    pair of equal letters yields one contribution, in the order of
+    _laplacian_terms: by word, letters by first appearance, then by pair of
+    positions.  _sum_codes sums the contributions as integer numerators
+    over the common denominator L, applying _sum_terms's rule, so the same
+    terms survive in the same order, and gives one contribution per term,
+    which fixes its word.  Border words, cells and middle words come from
+    the codes by integer division; a middle word's digits are its
+    right-aligned row of letters, led by 0s, the identity slot.  The
+    distinct middle words are compiled once.
+
+    The reference takes p when B^(top+1) reaches 2^63 for the longest word
+    length top, when the largest numerator times the slots (words times
+    C(top, 2), which bound the contributions) reaches 2^63, or when the
+    slots pass _PAIR_SLOTS.
     """
     import numpy as np
 
-    _check_laplacian_letters(p)
-    point = MatrixPoint(X=tuple(X))
     words = list(p._terms)
-    B = p.g + 1
-    top = max(map(len, words), default=0)
-    if top < 2:
-        return np.zeros((0, 0))
-    pw = np.array([B**k for k in range(top + 1)],
-                  dtype=np.int64 if B ** (top + 1) < 1 << 63 else object)
-    t, a, b, e, lap, rcode = _equal_letter_pairs(words, pw)
     coefs = list(p._terms.values())
     dens = [c.denominator for c in coefs]
     L = math.lcm(*dens)
     c2 = [2 * c.numerator * (L // d) for c, d in zip(coefs, dens)]
-    # No total exceeds the largest numerator times their count.
-    bound = max(map(abs, c2)) * len(t)
-    c2 = np.array(c2, dtype=object if bound >= 1 << 63 else np.int64)
-    k, sums = _sum_codes(lap, c2[t])
-    S = len(k)
-    if not S:
-        return np.zeros((0, 0))
+    B = p.g + 1
+    # _word_rows gives at least one column.
+    top = max(1, max(map(len, words), default=0))
+    slots = len(words) * (top * (top - 1) // 2)
+    if (B ** (top + 1) >= 1 << 63 or slots > _PAIR_SLOTS
+            or max(map(abs, c2), default=0) * slots >= 1 << 63):
+        rep = extract(laplacian(p))
+        return (rep.size, *rep._cells)
+    pw = B ** np.arange(top + 1, dtype=np.int64)
+    W = _word_rows(words, None)
+    pad = (W == 0).sum(1)
+    ia, ib = np.nonzero(np.less.outer(np.arange(top), np.arange(top)))
+    t, k = np.nonzero((W[:, ia] == W[:, ib]) & (W[:, ia] > 0))
+    a, b = ia[k], ib[k]
+    # A word's pairs by letter, letters by first appearance.
+    first = (W[:, :, None] == W[:, None, :]).argmax(2)
+    o = np.argsort(t * top + first[t, a], kind="stable")
+    t, a, b = t[o], a[o], b[o]
+    e = top - 1 - b
+    code = W @ pw[top - 1 :: -1] + pw[top - pad]
+    lap = code[t] - W[t, a] * (pw[top - 1 - a] + pw[e])
+    k, sums = _sum_codes(lap, np.array(c2, dtype=np.int64)[t])
     # One contribution per term: those of one code share its word.
     t, a, b, e, lap = t[k], a[k], b[k], e[k], lap[k]
     # Border words: the reversed part before the first h, the part after
     # the second.
-    border, cell = np.unique(np.concatenate((rcode[t] % pw[a], lap % pw[e])),
-                             return_inverse=True)
-    N = len(border)
-    i, j = cell[:S], cell[S:]
-    values = sums.tolist()
-    try:
-        coef = np.array([v / L for v in values])
-    except OverflowError:
-        # Name the first coefficient in cell order, as _cells does.
-        for r in np.lexsort((np.arange(S), j, i)):
-            _float_coefficient(Fraction(values[r], L))
+    rcode = W @ pw[:top]
+    border, cell = np.unique(
+        np.concatenate((rcode[t] % pw[a] // pw[pad[t]], lap % pw[e])),
+        return_inverse=True)
+    S = len(k)
+    coef = np.array([v / L for v in sums.tolist()])
     mids, m = np.unique(lap // pw[e + 1] % pw[b - a - 1], return_inverse=True)
-    depth = max(1, int((b - a).max()) - 1)
-    words = (mids[:, None] // pw[:depth][::-1] % B).astype(np.intp)
-    levels, index = _compile(words)
-    return _evaluate_cells(N, i, j, coef, words.take(m, 0), levels, index.take(m),
-                           point.X)
+    depth = max(1, int((b - a).max(initial=2)) - 1)
+    rows = (mids[:, None] // pw[:depth][::-1] % B).astype(np.intp)
+    levels, index = _compile(rows)
+    return len(border), cell[:S], cell[S:], coef, rows.take(m, 0), levels, index.take(m)
+
+
+def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
+    """evaluate_middle(extract(laplacian(p)), X) byte for byte: the cells of
+    _laplacian_cells added by _evaluate_cells, which sums each cell's terms
+    in term order, as for evaluate_middle.  p must be h-free and
+    symmetric."""
+    _check_laplacian_letters(p)
+    point = MatrixPoint(X=tuple(X))
+    return _evaluate_cells(*_laplacian_cells(p), point.X)

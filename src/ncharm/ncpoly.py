@@ -133,16 +133,15 @@ def _sum_terms(pairs, out: Optional[dict] = None) -> dict:
 
 
 def _sum_codes(keys: np.ndarray, values: np.ndarray) -> tuple:
-    """_sum_terms(zip(keys, values)) over aligned integer arrays, values
-    nonzero, in array passes: returns, per surviving key in that sum's
-    order, the index of the pair that put the key in last, and its total.
+    """_sum_terms(zip(keys, values)) over aligned int64 arrays, values
+    nonzero and max |value| * count < 2^63, so that no running sum leaves
+    int64, in array passes: returns, per surviving key in that sum's order,
+    the index of the pair that put the key in last, and its total.
 
     The pairs are stably sorted by key, so each key's pairs form one
     segment in their original order, and summed running within it.  A key
     whose final sum is 0 is dropped; the others go in at the pair after
-    their last zero running sum, or at their first pair.  Either array may
-    be int64 or an object array of Python ints; values are int64 only
-    while max |value| * count < 2^63, so no running sum leaves int64.
+    their last zero running sum, or at their first pair.
     """
     import numpy as np
 

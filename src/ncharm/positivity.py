@@ -438,9 +438,9 @@ def subharmonic_at_point(
 
     Z(X), the middle matrix of the Laplacian evaluated at X, is computed
     straight from p's words in array passes, byte-equal to its exact
-    reference evaluate_middle(extract(laplacian(p)), X).  If Z(X) is PSD
-    the verdict holds for every direction H (certificate), and the
-    Laplacian itself is never built.  Otherwise up to cfg.h_samples
+    reference evaluate_middle(extract(laplacian(p)), X), which takes the
+    inputs those passes do not fit in int64.  If Z(X) is PSD the verdict
+    holds for every direction H (certificate).  Otherwise up to cfg.h_samples
     directions are sampled for a concrete negative eigenvalue of the
     Laplacian; failing both, the honest answer is Unknown, because an
     indefinite Z(X) does not by itself refute positivity at X.  p must be

@@ -150,6 +150,30 @@ def assert_point_check_matches(p: Poly, X):
     return got
 
 
+def assert_point_cells_match(p: Poly):
+    """The point check's cell table, _laplacian_cells(p), stably ordered by
+    cell, against extract(laplacian(p))._cells term for term: the same
+    cells, middle words, prefix levels and index, and bitwise the same
+    coefficients.  Unlike Z(X), this shows the order of a cell's terms
+    even where their float sum is exact."""
+    from ncharm.calculus import laplacian
+    from ncharm.middlematrix import _laplacian_cells, extract
+
+    rep = extract(laplacian(p))
+    N, i, j, coef, rows, levels, index = _laplacian_cells(p)
+    want_i, want_j, want_coef, want_rows, want_levels, want_index = rep._cells
+    o = np.lexsort((j, i))
+    assert N == rep.size
+    for got, want in ((i[o], want_i), (j[o], want_j), (rows[o], want_rows),
+                      (index[o], want_index), (coef[o], want_coef)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert len(levels) == len(want_levels)
+    for got, want in zip(levels, want_levels):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def mul_oracle(p: Poly, q: Poly) -> Poly:
     """Word-concatenation product computed independently of Poly.__mul__."""
     acc: dict[bytes, Fraction] = {}

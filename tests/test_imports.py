@@ -140,7 +140,7 @@ def test_one_ordered_term_sum():
     # deletes its key and a later term puts the key back at the end.  No
     # other function deletes a dict entry by subscript.  Its array form,
     # ncpoly._sum_codes, serves the point check alone: it is defined in
-    # ncpoly and named only in _evaluate_laplacian_middle.
+    # ncpoly and named only in middlematrix._laplacian_cells.
     found, defined, named = [], [], []
     for path in sorted((SRC / "ncharm").glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))
@@ -160,4 +160,4 @@ def test_one_ordered_term_sum():
                 named.append((path.stem, owner.get(node)))
     assert [(m, f) for m, f, _ in found] == [("ncpoly", "_sum_terms")], found
     assert defined == ["ncpoly"]
-    assert named == [("middlematrix", "_evaluate_laplacian_middle")]
+    assert named == [("middlematrix", "_laplacian_cells")]

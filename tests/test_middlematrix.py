@@ -20,6 +20,8 @@ from ncharm import (
     word,
     zeroes_violation,
 )
+from ncharm import middlematrix
+from ncharm.middlematrix import _evaluate_laplacian_middle
 from ncharm.ncpoly import _compile
 
 from _helpers import (
@@ -28,6 +30,7 @@ from _helpers import (
     random_point,
     random_symmetric_homogeneous,
     random_two_h_symmetric,
+    sweep_points,
 )
 
 
@@ -306,8 +309,38 @@ class TestEvaluateLaplacianMiddle:
             Z = assert_point_check_matches(p, X)
         assert 5e240 < np.abs(Z).max() < 7e240
 
-    def test_codes_past_int64(self):
-        # Base-255 codes are Python ints once the longest word has 7 letters.
+    def assert_reference_taken(self, monkeypatch, p, X):
+        # Equal bytes, and the route handed p to laplacian, then extract.
+        assert_point_check_matches(p, X)
+        seen = []
+        with monkeypatch.context() as m:
+            for name in ("laplacian", "extract"):
+                real = getattr(middlematrix, name)
+                m.setattr(middlematrix, name,
+                          lambda q, name=name, real=real: seen.append(name) or real(q))
+            _evaluate_laplacian_middle(p, X)
+        assert seen == ["laplacian", "extract"]
+
+    @staticmethod
+    def refuse_reference(monkeypatch):
+        def refuse(q):
+            raise AssertionError("the point check reached its reference")
+
+        monkeypatch.setattr(middlematrix, "laplacian", refuse)
+        monkeypatch.setattr(middlematrix, "extract", refuse)
+
+    def test_route_builds_no_laplacian(self, monkeypatch):
+        # The benchmark's point checks and the reinsertion example of
+        # test_point_check_equals_evaluate_middle stay on the int64 route.
+        self.refuse_reference(monkeypatch)
+        points = sweep_points()
+        p = parse("x1^2*x2 - x2^3 + x3^2*x2 + x2*x1^2 + x2*x3^2", 3)
+        points += [(p, random_point(random.Random(0), 3, n)) for n in (1, 2, 3)]
+        for p, X in points:
+            assert _evaluate_laplacian_middle(p, X).shape[0] > 0
+
+    def test_codes_past_int64(self, monkeypatch):
+        # Base-255 codes pass 2^63 once the longest word has 7 letters.
         rnd = random.Random(36)
         X = random_point(rnd, 254, 2)
         for _ in range(20):
@@ -316,19 +349,31 @@ class TestEvaluateLaplacianMiddle:
                 w = bytes(rnd.choice([1, 2, 254]) for _ in range(rnd.randint(8, 11)))
                 terms[w] = Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
             q = Poly(254, terms)
-            assert_point_check_matches(q + q.transpose(), X)
+            self.assert_reference_taken(monkeypatch, q + q.transpose(), X)
 
     @pytest.mark.parametrize("k", [2 ** 62 + 1, 10 ** 40 + 7])
     def test_coefficients_past_int64(self, k):
         X = random_point(random.Random(37), 2, 3)
         assert_point_check_matches(parse(f"{k}*x1^3 + x2*x1^2*x2 - {k}*x2^4", 2), X)
 
-    def test_totals_past_int64(self):
+    def test_totals_past_int64(self, monkeypatch):
         # Each numerator 2*k fits int64, but Lap word h^2*x2^2 sums three.
         k = 2 ** 61 + 1
         q = parse(f"{k}*(x1^2 + x3^2 + x4^2)*x2^2", 4)
         X = random_point(random.Random(41), 4, 2)
-        assert_point_check_matches(q + q.transpose(), X)
+        self.assert_reference_taken(monkeypatch, q + q.transpose(), X)
+
+    def test_slots_past_the_cap(self, monkeypatch):
+        # 8 words of 4 letters fill 8 * C(4, 2) = 48 slots.
+        q = parse("(x1^2 + x2^2)*(x1*x2 + x2*x1)", 2)
+        p = q + q.transpose()
+        X = random_point(random.Random(42), 2, 2)
+        monkeypatch.setattr(middlematrix, "_PAIR_SLOTS", 47)
+        self.assert_reference_taken(monkeypatch, p, X)
+        # At the cap the route takes p.
+        monkeypatch.setattr(middlematrix, "_PAIR_SLOTS", 48)
+        self.refuse_reference(monkeypatch)
+        _evaluate_laplacian_middle(p, X)
 
     def test_numerators_past_2_53(self):
         # The total 2*k over L = 3 is past 2^53: rounding 2*k to a double

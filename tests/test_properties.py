@@ -9,7 +9,6 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +29,7 @@ from ncharm.middlematrix import extract, reconstruct
 from ncharm.ncpoly import _sum_codes, _sum_terms, word
 
 from _helpers import (
+    assert_point_cells_match,
     assert_point_check_matches,
     express_oracle,
     laplacian_fraction_reference,
@@ -235,9 +235,36 @@ def test_point_check_on_sweep_points():
         assert assert_point_check_matches(p, X).shape[0] > 0
 
 
+# Lap word h*x4*h cancels and comes back after h*x5*h, in the same cell.
+# The second is the reinsertion example of
+# test_point_check_equals_evaluate_middle, and the third cancels and
+# reinserts as in test_point_check_codes_past_int64_cancelled_and_reinserted,
+# with int64 codes.
+REINSERTED = [
+    parse("x1*x4*x1 - x2*x4*x2 + x1*x5*x1 + x3*x4*x3", 5),
+    parse("x1^2*x2 - x2^3 + x3^2*x2 + x2*x1^2 + x2*x3^2", 3),
+    parse("x1*x2*x1*x2*(x1^2*x2 - x2^3 + x3^2*x2)"
+          " + T(x1*x2*x1*x2*(x1^2*x2 - x2^3 + x3^2*x2))", 3),
+]
+
+
+def test_point_check_cells_on_sweep_points_and_reinsertions():
+    terms = list(laplacian(REINSERTED[0])._terms)
+    assert terms.index(word(0, 4, 0)) > terms.index(word(0, 5, 0))
+    # sweep_points() gives each member at four sizes in a row.
+    for p in [p for p, _ in sweep_points()[::4]] + REINSERTED:
+        assert_point_cells_match(p)
+
+
+@bounded
+@given(symmetric_h_free())
+def test_point_check_cells_follow_the_reference(p):
+    assert_point_cells_match(p)
+
+
 @bounded
 @given(dependent_systems())
-def test_express_over_rows_matches_oracle(system):
+def test_row_span_express_matches_oracle(system):
     rows, target = system
     span = RowSpan(rows, len(target))
     assert span.rank == rank_oracle(rows)
@@ -273,16 +300,15 @@ def test_degree4_boundary_is_certified(Hh, Jj, K, b1, b2, G0):
 
 
 # Running sums over a few keys with values in {+-1, +-2} hit zero, so keys
-# leave and come back; shifted past 2^63, keys and values are Python ints.
+# leave and come back.
 @bounded
-@pytest.mark.parametrize("offset, scale, dtype", [(0, 1, np.int64),
-                                                   (1 << 64, 1 << 63, object)])
 @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([-2, -1, 1, 2])),
                 max_size=40))
-def test_sum_codes_follows_the_ordered_term_sum(offset, scale, dtype, pairs):
-    keys = [offset + k for k, _ in pairs]
-    values = [scale * v for _, v in pairs]
-    first, totals = _sum_codes(np.array(keys, dtype=dtype), np.array(values, dtype=dtype))
+def test_sum_codes_follows_the_ordered_term_sum(pairs):
+    keys = [k for k, _ in pairs]
+    values = [v for _, v in pairs]
+    first, totals = _sum_codes(np.array(keys, dtype=np.int64),
+                               np.array(values, dtype=np.int64))
     want = _sum_terms(zip(keys, values))
     assert [keys[i] for i in first] == list(want)
     assert totals.tolist() == list(want.values())
