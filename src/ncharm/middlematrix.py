@@ -213,8 +213,8 @@ def _laplacian_cells(p: Poly) -> tuple:
 
     The reference takes p when B^(top+1) reaches 2^63 for the longest word
     length top, when the largest numerator times the slots (words times
-    C(top, 2), which bound the contributions) reaches 2^63, or when the
-    slots pass _PAIR_SLOTS.
+    C(top, 2), which bound the contributions, or 1 if that is 0) reaches
+    2^63, or when the slots pass _PAIR_SLOTS.
     """
     import numpy as np
 
@@ -228,7 +228,7 @@ def _laplacian_cells(p: Poly) -> tuple:
     top = max(1, max(map(len, words), default=0))
     slots = len(words) * (top * (top - 1) // 2)
     if (B ** (top + 1) >= 1 << 63 or slots > _PAIR_SLOTS
-            or max(map(abs, c2), default=0) * slots >= 1 << 63):
+            or max(map(abs, c2), default=0) * max(1, slots) >= 1 << 63):
         rep = extract(laplacian(p))
         return (rep.size, *rep._cells)
     pw = B ** np.arange(top + 1, dtype=np.int64)

@@ -258,10 +258,13 @@ class TestEvaluateLaplacianMiddle:
     X = (np.array([[0.5, -1.0], [-1.0, 2.0]]), np.array([[0.0, 0.25], [0.25, -3.0]]))
 
     @pytest.mark.parametrize("text", ["0", "3", "x1 + 2*x2", "x1*x2 + x2*x1",
-                                      "x1^2 - x2^2"])
+                                      "x1^2 - x2^2", "20000000000000000000",
+                                      "20000000000000000000*x1",
+                                      "x1 + 1/10000000000000000000007"])
     def test_empty_laplacian(self, text):
         # Constant and linear terms have no pair of equal letters, and the
-        # Laplacian of x1^2 - x2^2 cancels to zero.
+        # Laplacian of x1^2 - x2^2 cancels to zero.  Numerators past 2^63
+        # with no pair slot go to the reference.
         assert assert_point_check_matches(parse(text, 2), self.X).shape == (0, 0)
 
     def test_fewer_matrices_than_variables(self):

@@ -632,7 +632,9 @@ class TestSubharmonicAtPoint:
             subharmonic_at_point(parse("x1*x2", 2), (np.eye(2), np.eye(2)), cfg)
 
     @pytest.mark.parametrize("text", ["0", "-2/3", "x1 - x2", "x1*x2 + x2*x1",
-                                      "x1^2 - x2^2"])
+                                      "x1^2 - x2^2", "-20000000000000000000",
+                                      "20000000000000000000*x1",
+                                      "x1 + 1/10000000000000000000007"])
     def test_empty_laplacian_is_certified(self, text):
         X = self._random_X(random.Random(48), 2)
         assert subharmonic_at_point(parse(text, 2), X, SampleConfig()).kind == "CertifiedAllH"
