@@ -14,9 +14,9 @@ extract(laplacian(p)), and evaluate_middle evaluates it.  The point check
 of positivity.subharmonic_at_point evaluates Z(X) from a table of cells
 built in one int64 pass over p's words (_laplacian_cells), byte-equal to
 evaluate_middle(extract(laplacian(p)), X), which is its reference; an input
-that the pass does not fit in int64 goes to that reference.  The pass sums
-its exact numerators by ncpoly._sum_codes, the array form of the ordered
-term sum, and it alone calls that form.
+that the pass does not fit in int64 goes to that reference.  Both sum each
+cell's terms in canonical order of their middle words, so neither depends
+on the order in which the Laplacian expands.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .ncpoly import (
     _compile,
     _float_coefficients,
     _products,
-    _sum_codes,
     _sum_terms,
     _word_rows,
     render_word,
@@ -59,9 +58,11 @@ _H = bytes([H_LETTER])
 # The most slots, words times C(longest length, 2), that _laplacian_cells
 # compares for equal letters; past it the reference takes the input.  At
 # the cap, on 37,448 8-letter words over x1..x126 that pair only their
-# ends, the table takes 0.13 s and 31 MB of traced peak memory and the
-# reference 0.53 s and 29 MB; on 8,417 random 16-letter words over x1, x2,
-# half of whose slots pair, the table takes 0.67 s and 102 MB.
+# ends, the table takes 0.07-0.08 s and 21 MB of traced peak memory and
+# the reference 0.21-0.35 s and 17 MB; on 8,417 random 16-letter words
+# over x1, x2, half of whose slots pair, the table takes 0.23-0.25 s and
+# 106 MB (its 16,183 border words are too many for the reference's
+# N x N grid of cells).
 _PAIR_SLOTS = 1 << 20
 
 
@@ -96,7 +97,7 @@ def extract(q: Poly) -> MiddleMatrixRep:
 
     Each word must contain exactly two h letters and q must equal its
     transpose; violations raise ValueError.  Cell (m_i, m_j) holds mid -> c
-    for every term m_i^T h mid h m_j -> c, in q's term order.
+    for every term m_i^T h mid h m_j -> c, in canonical order of mid.
     reconstruct(extract(q)) == q exactly, and Z_ij^T == Z_ji entrywise.
     """
     if not q.is_symmetric():
@@ -115,7 +116,7 @@ def extract(q: Poly) -> MiddleMatrixRep:
     index = {m: i for i, m in enumerate(border)}
     n = len(border)
     cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for mi, mid, mj, c in splits:
+    for mi, mid, mj, c in sorted(splits, key=lambda s: word_key(s[1])):
         # A word has one (left, mid, right) split, so no cell entry repeats.
         cells[index[mi]][index[mj]][mid] = c
     Z = tuple(tuple(Poly._raw(q.g, cell) for cell in row) for row in cells)
@@ -188,8 +189,8 @@ def evaluate_middle(rep: MiddleMatrixRep, X: Sequence[np.ndarray]) -> np.ndarray
 
 
 def _laplacian_cells(p: Poly) -> tuple:
-    """N and the terms of extract(laplacian(p))._cells in Lap(p)'s term
-    order, so each cell's terms in their order there, from one array pass
+    """N and the terms of extract(laplacian(p))._cells in code order, so
+    each cell's terms in canonical mid order, as there, from one array pass
     over p's words: no Laplacian word, Fraction, representation or plan is
     made.  Inputs the pass does not fit in int64 go to that exact
     reference instead.  p must be h-free and symmetric; neither is tested
@@ -201,14 +202,12 @@ def _laplacian_cells(p: Poly) -> tuple:
     word order.  A Laplacian word of length l may start with h = 0, so its
     code adds B^l.  p's words are read at once as right-aligned rows led by
     0s, which add nothing to a code; column c carries B^(top-1-c).  Every
-    pair of equal letters yields one contribution, in the order of
-    _laplacian_terms: by word, letters by first appearance, then by pair of
-    positions.  _sum_codes sums the contributions as integer numerators
-    over the common denominator L, applying _sum_terms's rule, so the same
-    terms survive in the same order, and gives one contribution per term,
-    which fixes its word.  Border words, cells and middle words come from
-    the codes by integer division; a middle word's digits are its
-    right-aligned row of letters, led by 0s, the identity slot.  The
+    pair of equal letters yields one contribution.  The contributions of
+    one code are summed as exact integer numerators over the common
+    denominator L, a zero sum is dropped, and one contribution per
+    surviving code fixes its word.  Border words, cells and middle words
+    come from the codes by integer division; a middle word's digits are
+    its right-aligned row of letters, led by 0s, the identity slot.  The
     distinct middle words are compiled once.
 
     The reference takes p when B^(top+1) reaches 2^63 for the longest word
@@ -237,14 +236,16 @@ def _laplacian_cells(p: Poly) -> tuple:
     ia, ib = np.nonzero(np.less.outer(np.arange(top), np.arange(top)))
     t, k = np.nonzero((W[:, ia] == W[:, ib]) & (W[:, ia] > 0))
     a, b = ia[k], ib[k]
-    # A word's pairs by letter, letters by first appearance.
-    first = (W[:, :, None] == W[:, None, :]).argmax(2)
-    o = np.argsort(t * top + first[t, a], kind="stable")
-    t, a, b = t[o], a[o], b[o]
     e = top - 1 - b
     code = W @ pw[top - 1 :: -1] + pw[top - pad]
     lap = code[t] - W[t, a] * (pw[top - 1 - a] + pw[e])
-    k, sums = _sum_codes(lap, np.array(c2, dtype=np.int64)[t])
+    # Terms in code order.  Within one cell the prefix m_i^T h and the
+    # suffix h m_j are fixed, so codes there sort by mid length, then by
+    # mid digits: canonical mid order, as extract lists the cell.
+    _, k, inv = np.unique(lap, return_index=True, return_inverse=True)
+    sums = np.zeros(len(k), dtype=np.int64)
+    np.add.at(sums, inv, np.array(c2, dtype=np.int64)[t])
+    k, sums = k[sums != 0], sums[sums != 0]
     # One contribution per term: those of one code share its word.
     t, a, b, e, lap = t[k], a[k], b[k], e[k], lap[k]
     # Border words: the reversed part before the first h, the part after
@@ -265,7 +266,7 @@ def _laplacian_cells(p: Poly) -> tuple:
 def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
     """evaluate_middle(extract(laplacian(p)), X) byte for byte: the cells of
     _laplacian_cells added by _evaluate_cells, which sums each cell's terms
-    in term order, as for evaluate_middle.  p must be h-free and
+    in canonical mid order, as for evaluate_middle.  p must be h-free and
     symmetric."""
     _check_laplacian_letters(p)
     point = MatrixPoint(X=tuple(X))

@@ -116,9 +116,9 @@ def _sum_terms(pairs, out: Optional[dict] = None) -> dict:
 
     A sum of zero deletes its key, so a later pair puts that key back at
     the end.  Every exact accumulation into a dict sums here, so this one
-    rule sets the order of every term dict, and with it the order in which
-    a float evaluation adds the terms.  _sum_codes is the same rule over
-    integer arrays.
+    rule sets the order of every accumulated term dict, and with it the
+    order in which a float evaluation adds the terms.  A middle matrix's
+    cells are not accumulated: extract lists them in canonical order.
     """
     if out is None:
         out = {}
@@ -130,42 +130,6 @@ def _sum_terms(pairs, out: Optional[dict] = None) -> dict:
         else:
             del out[k]
     return out
-
-
-def _sum_codes(keys: np.ndarray, values: np.ndarray) -> tuple:
-    """_sum_terms(zip(keys, values)) over aligned int64 arrays, values
-    nonzero and max |value| * count < 2^63, so that no running sum leaves
-    int64, in array passes: returns, per surviving key in that sum's order,
-    the index of the pair that put the key in last, and its total.
-
-    The pairs are stably sorted by key, so each key's pairs form one
-    segment in their original order, and summed running within it.  A key
-    whose final sum is 0 is dropped; the others go in at the pair after
-    their last zero running sum, or at their first pair.
-    """
-    import numpy as np
-
-    n = len(keys)
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    at = np.arange(n)
-    start = np.empty(n, dtype=bool)
-    start[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=start[1:])
-    run = np.add.accumulate(values)
-    # Less the sum before each pair's segment start.
-    run -= (run - values)[np.maximum.accumulate(at * start)]
-    zero = run == 0
-    entry = start.copy()
-    entry[1:] |= zero[:-1]
-    entry = np.maximum.accumulate(at * entry)
-    end = np.empty(n, dtype=bool)
-    end[-1:] = True
-    end[:-1] = start[1:]
-    end &= ~zero
-    first = order[entry[end]]
-    o = first.argsort()
-    return first[o], run[end][o]
 
 
 def _validate_word(w: Word, g: int) -> None:

@@ -138,10 +138,8 @@ def test_sampler_internals_stay_in_positivity():
 def test_one_ordered_term_sum():
     # Term order comes from one rule, ncpoly._sum_terms: a sum of zero
     # deletes its key and a later term puts the key back at the end.  No
-    # other function deletes a dict entry by subscript.  Its array form,
-    # ncpoly._sum_codes, serves the point check alone: it is defined in
-    # ncpoly and named only in middlematrix._laplacian_cells.
-    found, defined, named = [], [], []
+    # other function deletes a dict entry by subscript.
+    found = []
     for path in sorted((SRC / "ncharm").glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))
         owner = {}
@@ -153,11 +151,4 @@ def test_one_ordered_term_sum():
             if isinstance(node, ast.Delete) and any(
                     isinstance(t, ast.Subscript) for t in node.targets):
                 found.append((path.stem, owner.get(node), node.lineno))
-            elif isinstance(node, ast.FunctionDef) and node.name == "_sum_codes":
-                defined.append(path.stem)
-            elif (isinstance(node, ast.Name) and node.id == "_sum_codes"
-                  or isinstance(node, ast.Attribute) and node.attr == "_sum_codes"):
-                named.append((path.stem, owner.get(node)))
     assert [(m, f) for m, f, _ in found] == [("ncpoly", "_sum_terms")], found
-    assert defined == ["ncpoly"]
-    assert named == [("middlematrix", "_laplacian_cells")]

@@ -8,7 +8,6 @@ import json
 import random
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +25,7 @@ from ncharm._exactla import RowSpan
 from ncharm.classify2 import _combine
 from ncharm.cli import emit_json
 from ncharm.middlematrix import extract, reconstruct
-from ncharm.ncpoly import _sum_codes, _sum_terms, word
+from ncharm.ncpoly import word, word_key
 
 from _helpers import (
     assert_point_cells_match,
@@ -170,10 +169,11 @@ def test_extract_of_laplacian_shares_one_fraction_per_value(p):
     assert len({id(c) for c in values}) == len(set(values))
 
 
-def test_extract_of_laplacian_term_order_with_edge_letters():
+def test_laplacian_and_extract_term_order_with_edge_letters():
     # Mixed lengths over x1, x2 and x254 (MAX_VARS), with repeats at both
-    # ends so that Lap words start and end with h: same border and the
-    # same cell term order as extract of the Fraction reference.
+    # ends so that Lap words start and end with h: the same term order as
+    # the Fraction reference, and extract of both gives the same border and
+    # the same cell term order.
     rnd = random.Random(30)
     for _ in range(100):
         terms = {}
@@ -184,7 +184,9 @@ def test_extract_of_laplacian_term_order_with_edge_letters():
             terms[w] = terms.get(w, 0) + Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
         q = Poly(254, terms)
         p = q + q.transpose()
-        got, want = extract(laplacian(p)), extract(laplacian_fraction_reference(p))
+        lap, ref = laplacian(p), laplacian_fraction_reference(p)
+        assert list(lap._terms.items()) == list(ref._terms.items())
+        got, want = extract(lap), extract(ref)
         assert (got.g, got.border) == (want.g, want.border)
         for got_row, want_row in zip(got.Z, want.Z):
             for z, w in zip(got_row, want_row):
@@ -200,7 +202,7 @@ def test_point_check_equals_evaluate_middle(p, n, seed):
 
 
 def test_point_check_with_edge_letters():
-    # The words of test_extract_of_laplacian_term_order_with_edge_letters, up
+    # The words of test_laplacian_and_extract_term_order_with_edge_letters, up
     # to 8 letters over x1, x2 and x254: codes past int64 from 7 letters.
     rnd = random.Random(30)
     X = random_point(rnd, 254, 2)
@@ -256,6 +258,18 @@ def test_point_check_cells_on_sweep_points_and_reinsertions():
         assert_point_cells_match(p)
 
 
+def test_cells_list_terms_in_canonical_mid_order():
+    rep = extract(parse("h*x2*h + h*x1*h", 2))
+    assert list(rep.Z[0][0]._terms) == [word(1), word(2)]
+    # Lap(x2^3 + x1^3) lists h*x2*h before h*x1*h, and REINSERTED[0]
+    # lists h*x5*h before the reinserted h*x4*h.
+    for p in (parse("x2^3 + x1^3", 2), REINSERTED[0]):
+        for row in extract(laplacian(p)).Z:
+            for z in row:
+                assert list(z._terms) == sorted(z._terms, key=word_key)
+        assert_point_cells_match(p)
+
+
 @bounded
 @given(symmetric_h_free())
 def test_point_check_cells_follow_the_reference(p):
@@ -297,25 +311,3 @@ def test_degree4_boundary_is_certified(Hh, Jj, K, b1, b2, G0):
     assert v.kind == "SubharmonicBoundaryCertified"
     assert v.sos.reconstruct() == laplacian(p)
     assert all(weight > 0 for weight, _ in v.sos.terms)
-
-
-# Running sums over a few keys with values in {+-1, +-2} hit zero, so keys
-# leave and come back.
-@bounded
-@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([-2, -1, 1, 2])),
-                max_size=40))
-def test_sum_codes_follows_the_ordered_term_sum(pairs):
-    keys = [k for k, _ in pairs]
-    values = [v for _, v in pairs]
-    first, totals = _sum_codes(np.array(keys, dtype=np.int64),
-                               np.array(values, dtype=np.int64))
-    want = _sum_terms(zip(keys, values))
-    assert [keys[i] for i in first] == list(want)
-    assert totals.tolist() == list(want.values())
-    # Each key's index is the pair that put it in last.
-    entered, run = {}, {}
-    for i, (k, v) in enumerate(zip(keys, values)):
-        if not run.get(k):
-            entered[k] = i
-        run[k] = run.get(k, 0) + v
-    assert first.tolist() == [entered[k] for k in want]
