@@ -14,10 +14,10 @@ The decision procedure follows the structure of the underlying theory:
   * even degree >= 6 reduces to membership in the three-generator family
     c0*(Re gam^d)^2 + c1*Re gam^(2d) + c2*Im gam^(2d) with c0 >= 0.
 
-The Gram machinery (neighbor split at half degree, expression over an
-arranged spanning list of half-degree harmonics, congruence
-diagonalization) works for any number of variables; only the closed-form
-classification above is specific to two variables.
+The Gram machinery (neighbor split at half degree, expression over the
+basis of half-degree harmonics, congruence diagonalization) works for any
+number of variables; only the closed-form classification above is
+specific to two variables.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ._exactla import (
-    MAX_NULLSPACE_ENTRIES,
-    RowSpan,
-    SparseRref,
-    congruence_diagonalize,
-    sparse_nullspace,
-)
+from ._exactla import MAX_NULLSPACE_ENTRIES, RowSpan, congruence_diagonalize
 from .calculus import directional_derivative, laplacian
 from .harmonicspace import (
     HarmonicBasis,
@@ -74,10 +68,10 @@ __all__ = [
 
 # The most coefficients a sandwich table (k x g x k for odd_sandwich, the
 # k x k Gram table for sos) may hold; a larger one is refused before the
-# spanning list is reduced.  Timed per CLI process: odd-sandwich on
-# x1*x2*x3 took 0.26 s at 64^3 entries and 2.9 s and 147 MB at 200^3; sos
-# on x1*x2^2*x1, whose congruence grows as k^3, took 2.5 s and 56 MB at
-# 476^2 (18 variables) and 10 s and 142 MB at 851^2 (24 variables).
+# basis rows are reduced.  Timed per CLI process: odd-sandwich on x1*x2*x3
+# took 0.26 s at 64^3 entries and 2.9 s and 147 MB at 200^3; sos on
+# x1*x2^2*x1 took 0.36 s and 30 MB at 323^2 (18 variables) and 0.75 s and
+# 47 MB at 483^2 (22 variables, the largest accepted).
 MAX_SANDWICH_ENTRIES = 1 << 18
 
 
@@ -159,7 +153,7 @@ def neighbor_harmonicity_check(p: Poly, m: int) -> tuple[bool, list[Word]]:
 
 
 # ---------------------------------------------------------------------------
-# Gram form over an arranged harmonic spanning list
+# Gram form over the half-degree harmonic basis
 # ---------------------------------------------------------------------------
 
 
@@ -176,11 +170,11 @@ class GramObstruction(ValueError):
 
 @dataclass(frozen=True)
 class GramForm:
-    """p expressed as vec^T Phi vec over an arranged harmonic list.
+    """p expressed as vec^T Phi vec over the half-degree harmonic basis.
 
-    vectors lists s-elements (symmetric) first, then u-elements, then their
-    transposes.  The exact identity is
-    p = sum_ab phi[a][b] * vectors[a]^T * vectors[b], with phi symmetric.
+    vectors is harmonic_basis(g, d/2).elements.  The exact identity is
+    p = sum_ab phi[a][b] * vectors[a]^T * vectors[b]; phi is the unique
+    such matrix, and symmetric.
     """
 
     vectors: tuple
@@ -193,59 +187,9 @@ class GramForm:
         ))
 
 
-def _arranged_harmonics(g: int, m: int):
-    """The s/u/v arranged spanning list of degree-m harmonics.
-
-    The symmetric subspace s is extracted exactly and completed by
-    non-symmetric basis elements u paired with their transposes v.  For
-    g = 2 that is s = (Re gam^m, Im gam^m), except that m = 2 keeps
-    s = x1^2 - x2^2, u = x1*x2, v = x2*x1.
-    """
-    basis = harmonic_basis(g, m)
-    if g == 2 and m == 2:
-        x1 = Poly.variable(2, 1)
-        x2 = Poly.variable(2, 2)
-        s = [x1 * x1 - x2 * x2]
-        u = [x1 * x2]
-    else:
-        s, u = _split_symmetric(basis)
-    vectors = tuple(s + u + [q.transpose() for q in u])
-    alpha, beta = len(s), len(u)
-    perm = list(range(alpha)) + [alpha + beta + i for i in range(beta)] + [
-        alpha + i for i in range(beta)
-    ]
-    return basis, vectors, tuple(perm)
-
-
-def _split_symmetric(basis: HarmonicBasis):
-    """Split a transpose-closed space into symmetric combos and a
-    non-symmetric completion."""
-    index = {w: i for i, w in enumerate(basis.word_index)}
-    # c is a symmetric combination iff sum_i c_i (B_i - B_i^T) = 0: one
-    # equation per word, over the k combination coefficients.
-    combo_rows: list[dict] = [{} for _ in index]
-    for i, el in enumerate(basis.elements):
-        for w, c in el._terms.items():
-            forward, backward = combo_rows[index[w]], combo_rows[index[w[::-1]]]
-            forward[i] = forward.get(i, 0) + c
-            backward[i] = backward.get(i, 0) - c
-    s = [
-        _combine(basis.g, zip(combo, basis.elements))
-        for combo in sparse_nullspace(combo_rows, basis.dimension)
-    ]
-    tracker = SparseRref()
-    for q in s:
-        tracker.insert({index[w]: c for w, c in q._terms.items()})
-    u = []
-    for el in basis.elements:
-        if tracker.insert({index[w]: c for w, c in el._terms.items()}) is not None:
-            u.append(el)
-    return s, u
-
-
 def _require_table(k: int, slots: int, qualifier: str = "") -> None:
     """Refuse a k x slots x k sandwich table past MAX_SANDWICH_ENTRIES,
-    before the spanning list is reduced."""
+    before the basis rows are reduced."""
     if k * slots * k > MAX_SANDWICH_ENTRIES:
         raise ValueError(
             f"a sandwich table of {qualifier}{k} x {slots} x {k} coefficients exceeds "
@@ -273,17 +217,18 @@ def _require_basis_table(g: int, m: int, slots: int) -> None:
 
 def _sandwich_coords(p: Poly, m: int, mid: int, span: RowSpan, index: dict) -> list:
     """Exact c[a][i][j] with p = sum c[a][i][j] v_a x_(i+1) v_j (mid 1) or
-    p = sum c[a][0][j] v_a v_j (mid 0), where span holds the coefficient
+    p = sum c[a][0][j] v_a^T v_j (mid 0), where span holds the coefficient
     rows, over the degree-m words numbered by index, of a list v spanning
     the degree-m harmonics.
 
     p is split once at its leading words of length m + mid.  Each right
     neighbor p_lead is expressed as sum_j mu_j v_j, then each aggregated
-    left factor sum_t mu_j(t x_i) x^t (sum_t mu_j(t) x^t when mid is 0).
+    left factor sum_t mu_j(t x_i) x^t, or, when mid is 0, its transpose
+    sum_t mu_j(t) x^(t reversed).
     Raises GramObstruction with the leading words whose neighbors are not
     harmonic.  A harmonic p has harmonic neighbors, and the left factors of
     a symmetric or harmonic p are combinations of its harmonic left
-    neighbors.
+    neighbors, so they and their transposes are harmonic.
     """
     k, slots = span.k, p.g if mid else 1
     left: list[list[dict]] = [[{} for _ in range(slots)] for _ in range(k)]
@@ -293,7 +238,7 @@ def _sandwich_coords(p: Poly, m: int, mid: int, span: RowSpan, index: dict) -> l
         if mu is None:
             failing.append(lead)
             continue
-        t, i = (lead[:-1], lead[-1] - 1) if mid else (lead, 0)
+        t, i = (lead[:-1], lead[-1] - 1) if mid else (lead[::-1], 0)
         for j, c in enumerate(mu):
             if c:
                 left[j][i][t] = c
@@ -318,12 +263,13 @@ def _sandwich_coords(p: Poly, m: int, mid: int, span: RowSpan, index: dict) -> l
 def gram_from_neighbors(p: Poly) -> GramForm:
     """Express symmetric homogeneous even-degree p over half-degree harmonics.
 
-    The two-sided expansion p = sum_ab psi_ab v_a v_b runs directly over
-    the arranged list v, whose rows are reduced once for every expression;
-    v_a = v_perm(a)^T then gives the Gram matrix, symmetrized.  Every right
-    neighbor of p at half degree must be harmonic; a failed neighbor is
-    reported as a GramObstruction, which is an exact proof that p is not
-    subharmonic.
+    The two-sided expansion p = sum_ab phi_ab v_a^T v_b runs over the
+    harmonic basis v, whose rows are reduced once for every expression.  A
+    word of even length splits at its midpoint in one way only and the v_a
+    are independent, so phi is the unique Gram matrix of p over v, and
+    symmetric because p is.  Every right neighbor of p at half degree
+    must be harmonic; a failed neighbor is reported as a GramObstruction,
+    which is an exact proof that p is not subharmonic.
     """
     if not p.is_symmetric():
         raise ValueError("gram_from_neighbors requires a symmetric polynomial")
@@ -331,18 +277,12 @@ def gram_from_neighbors(p: Poly) -> GramForm:
     if d is None or d % 2 or d < 2:
         raise ValueError("gram_from_neighbors requires homogeneous even degree >= 2")
     _require_basis_table(p.g, d // 2, 1)
-    basis, vectors, perm = _arranged_harmonics(p.g, d // 2)
-    _require_table(len(vectors), 1)
-    span, index = _row_span(vectors, basis.word_index)
-    if span.rank != basis.dimension:
-        raise AssertionError("arranged list fails to span the harmonic basis")
-    nv = len(vectors)
-    coords = _sandwich_coords(p, basis.d, 0, span, index)
-    phi = [
-        [(coords[perm[a]][0][b] + coords[perm[b]][0][a]) / 2 for b in range(nv)]
-        for a in range(nv)
-    ]
-    form = GramForm(vectors=vectors, phi=tuple(tuple(row) for row in phi))
+    basis = harmonic_basis(p.g, d // 2)
+    _require_table(basis.dimension, 1)
+    coords = _sandwich_coords(p, basis.d, 0, *_row_span(basis.elements, basis.word_index))
+    form = GramForm(
+        vectors=basis.elements, phi=tuple(tuple(plane[0]) for plane in coords)
+    )
     if form.reconstruct() != p:
         raise AssertionError("gram form failed exact reconstruction")
     return form

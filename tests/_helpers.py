@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ncharm import H_LETTER, MatrixPoint, Poly, directional_derivative
+from ncharm import H_LETTER, MatrixPoint, Poly, directional_derivative, harmonic_basis
 
 
 def random_word(rnd: random.Random, g: int, length: int) -> bytes:
@@ -443,18 +443,17 @@ def gram_oracle(p: Poly):
 
     Over the echelon basis gamma of half degree, p = sum psi_ij gamma_i
     gamma_j has psi_ij equal to p's coefficient at the word pivot_i pivot_j,
-    since each pivot word occurs in one basis element only.  The arranged
-    coordinates C of every gamma_i come from express_oracle; C^T psi C is
-    moved to v_a^T v_b by the transpose permutation and symmetrized.
+    since each pivot word occurs in one basis element only.  The
+    coordinates T[i] of every gamma_i^T over gamma come from express_oracle,
+    so gamma_i = sum_a T[i][a] gamma_a^T and phi = T^T psi.
 
-    Returns (vectors, phi, failing): failing lists, sorted, the leading
-    words whose right neighbors at half degree are not harmonic, and phi is
-    None when it is nonempty.
+    Returns (vectors, phi, failing): vectors is the basis, failing lists,
+    sorted, the leading words whose right neighbors at half degree are not
+    harmonic, and phi is None when it is nonempty.
     """
-    from ncharm.classify2 import _arranged_harmonics
-
     m = p.total_degree() // 2
-    basis, vectors, perm = _arranged_harmonics(p.g, m)
+    basis = harmonic_basis(p.g, m)
+    vectors = basis.elements
     parts: dict[bytes, dict] = {}
     for w, c in p.terms():
         parts.setdefault(w[:m], {})[w[m:]] = c
@@ -465,23 +464,18 @@ def gram_oracle(p: Poly):
     if failing:
         return vectors, None, failing
     pivots = [basis.word_index[c] for c in basis.pivot_cols]
-    gam = basis.elements
-    k = len(gam)
+    k = len(vectors)
     psi = [[p.coefficient(pivots[i] + pivots[j]) for j in range(k)] for i in range(k)]
     rebuilt = Poly.zero(p.g)
     for i in range(k):
         for j in range(k):
-            rebuilt = rebuilt + mul_oracle(gam[i], gam[j]).scale(psi[i][j])
+            rebuilt = rebuilt + mul_oracle(vectors[i], vectors[j]).scale(psi[i][j])
     assert rebuilt == p
     rows, _ = poly_matrix(vectors, basis.word_index)
-    C = [express_oracle(rows, poly_matrix([el], basis.word_index)[0][0]) for el in gam]
-    nv = len(vectors)
-    ct_psi = [[sum(C[i][a] * psi[i][j] for i in range(k)) for j in range(k)]
-              for a in range(nv)]
-    ctpc = [[sum(row[j] * C[j][b] for j in range(k)) for b in range(nv)]
-            for row in ct_psi]
-    phi = [
-        [(ctpc[perm[a]][b] + ctpc[perm[b]][a]) / 2 for b in range(nv)]
-        for a in range(nv)
+    T = [
+        express_oracle(rows, poly_matrix([el.transpose()], basis.word_index)[0][0])
+        for el in vectors
     ]
+    phi = [[sum(T[i][a] * psi[i][j] for i in range(k)) for j in range(k)]
+           for a in range(k)]
     return vectors, phi, failing

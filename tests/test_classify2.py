@@ -138,8 +138,8 @@ class TestGramForm:
     def test_sandwich_square(self):
         p = parse("x1*x2^2*x1", 2)
         form = gram_from_neighbors(p)
-        # Arranged list is (s, u, v) = (x1^2 - x2^2, x1*x2, x2*x1); the
-        # polynomial is v^T v.
+        # The degree-2 basis is (x1^2 - x2^2, x1*x2, x2*x1); the polynomial
+        # is (x2*x1)^T (x2*x1).
         assert list(form.vectors) == [
             parse("x1^2 - x2^2", 2),
             parse("x1*x2", 2),
@@ -177,7 +177,8 @@ class TestGramForm:
     def test_matches_gram_oracle(self, g, m):
         # Gram forms of v^T w + w^T v combinations; every third input gets a
         # symmetric random part, which mostly breaks harmonicity of the
-        # right neighbors.  At (3, 2) the 11 arranged vectors are dependent.
+        # right neighbors.  At (3, 2) six of the 8 basis elements are not
+        # symmetric, so phi needs the transposes expressed over the basis.
         rnd = random.Random(1000 * g + m)
         gens = harmonic_basis(g, m).elements
         obstructed = 0
@@ -206,8 +207,32 @@ class TestGramForm:
         # Every degree-1 polynomial is harmonic, so only m >= 2 can fail.
         assert (obstructed > 0) == (m >= 2)
 
+    @pytest.mark.parametrize("g, m", [(3, 2), (4, 2), (3, 3)])
+    def test_phi_is_the_unique_coordinates(self, g, m):
+        # p = sum S_ij q_i^T q_j is injective in the symmetric S: a word of
+        # length 2m splits at its midpoint in one way only and the q_i are
+        # independent, so the Gram form must return S itself.
+        rnd = random.Random(7000 + 10 * g + m)
+        q = harmonic_basis(g, m).elements
+        k = len(q)
+        for _ in range(3):
+            S = [[Fraction(0)] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i, k):
+                    if rnd.random() < 0.3:
+                        S[i][j] = S[j][i] = Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+            p = Poly.zero(g)
+            for i in range(k):
+                for j in range(k):
+                    if S[i][j]:
+                        p = p + (q[i].transpose() * q[j]).scale(S[i][j])
+            form = gram_from_neighbors(p)
+            assert form.vectors == q
+            assert [list(row) for row in form.phi] == S
+
     def test_three_variable_path(self):
-        # The arranged-list machinery is generic in the variable count.
+        # The Gram machinery over the harmonic basis is generic in the
+        # variable count.
         p = parse("x1*x3^2*x1", 3)
         form = gram_from_neighbors(p)
         assert form.reconstruct() == p

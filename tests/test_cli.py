@@ -422,7 +422,7 @@ class TestInputDomain:
 
     @pytest.mark.parametrize("argv, table", [
         (["odd-sandwich", "--vars", "65", "x1*x2*x3"], "65 x 65 x 65"),
-        (["sos", "--vars", "19", "x1*x2^2*x1"], "531 x 1 x 531"),
+        (["sos", "--vars", "23", "x1*x2^2*x1"], "528 x 1 x 528"),
     ])
     def test_sandwich_table_past_cap(self, argv, table):
         code, out, err = run(argv)

@@ -150,18 +150,17 @@ class TestExpressOverRows:
         assert span.express([F(3, 2), F(-1), F(10)]) == [
             0, F(-1, 2), 1, 1]
 
-    def test_arranged_list_coordinates_match_oracle(self):
-        # 11 arranged vectors span the 8 harmonics of (3, 2): the rows are
-        # dependent, and each basis element has one pinned particular
-        # solution.
-        from ncharm.classify2 import _arranged_harmonics
-        from ncharm.harmonicspace import _vectorize
+    def test_dependent_harmonic_rows_match_oracle(self):
+        # The 8 harmonics of (3, 2) and their 8 transposes span the same
+        # space: the 16 rows are dependent, and each of them has one pinned
+        # particular solution.
+        from ncharm.harmonicspace import _vectorize, harmonic_basis
 
-        basis, vectors, _ = _arranged_harmonics(3, 2)
+        basis = harmonic_basis(3, 2)
         index = {w: i for i, w in enumerate(basis.word_index)}
+        vectors = basis.elements + tuple(v.transpose() for v in basis.elements)
         rows = [_vectorize(v, index) for v in vectors]
         span = RowSpan(rows, len(index))
-        assert (len(rows), rank_oracle(rows), span.rank) == (11, 8, 8)
-        for el in basis.elements:
-            target = _vectorize(el, index)
+        assert (len(rows), rank_oracle(rows), span.rank) == (16, 8, 8)
+        for target in rows:
             assert span.express(target) == express_oracle(rows, target)
