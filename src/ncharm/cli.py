@@ -28,6 +28,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 from .calculus import (
@@ -321,11 +322,9 @@ def _cmd_middle_matrix(args, stdin, out) -> int:
     else:
         names = [render_word(bytes([H_LETTER]) + m) for m in rep.border]
         print("border: " + ", ".join(names), file=out)
-        for i in range(rep.size):
-            for j in range(rep.size):
-                z = rep.Z[i][j]
-                if not z.is_zero():
-                    print(f"Z[{i + 1}][{j + 1}] = {z.render()}", file=out)
+        for (i, j), terms in groupby(rep.cells, key=lambda t: t[:2]):
+            z = Poly._raw(rep.g, {mid: c for _, _, mid, c in terms})
+            print(f"Z[{i + 1}][{j + 1}] = {z.render()}", file=out)
     return 0
 
 

@@ -9,6 +9,10 @@ block matrix Z(X) certifies positivity of q(X)[H] for every H, and a zero
 diagonal entry facing a nonzero off-diagonal entry rules positivity out
 (the zeroes screen).
 
+A middle matrix is sparse: the representation stores its cell terms
+(i, j, mid, c), one per word of q, and the N x N grid of Poly cells, Z, is
+a view built only when read, where Z_ij^T == Z_ji holds entrywise.
+
 The middle matrix of a Laplacian has one exact construction,
 extract(laplacian(p)), and evaluate_middle evaluates it.  The point check
 of positivity.subharmonic_at_point evaluates Z(X) from a table of cells
@@ -61,8 +65,7 @@ _H = bytes([H_LETTER])
 # ends, the table takes 0.07-0.08 s and 21 MB of traced peak memory and
 # the reference 0.21-0.35 s and 17 MB; on 8,417 random 16-letter words
 # over x1, x2, half of whose slots pair, the table takes 0.23-0.25 s and
-# 106 MB (its 16,183 border words are too many for the reference's
-# N x N grid of cells).
+# 106 MB.
 _PAIR_SLOTS = 1 << 20
 
 
@@ -70,11 +73,19 @@ _PAIR_SLOTS = 1 << 20
 class MiddleMatrixRep:
     g: int
     border: tuple          # distinct x-words m_i, canonical order
-    Z: tuple               # N x N tuple of tuples of Poly
+    cells: tuple           # (i, j, mid, c), by cell row-major, then canonical mid
 
     @property
     def size(self) -> int:
         return len(self.border)
+
+    @cached_property
+    def Z(self) -> tuple:
+        """The N x N grid of Poly cells, built when first read."""
+        grid: list[list[dict]] = [[{} for _ in self.border] for _ in self.border]
+        for i, j, mid, c in self.cells:
+            grid[i][j][mid] = c
+        return tuple(tuple(Poly._raw(self.g, cell) for cell in row) for row in grid)
 
     @cached_property
     def _cells(self) -> tuple:
@@ -84,8 +95,7 @@ class MiddleMatrixRep:
         representation."""
         import numpy as np
 
-        terms = [(i, j, mid, c) for i, row in enumerate(self.Z)
-                 for j, z in enumerate(row) for mid, c in z._terms.items()]
+        terms = self.cells
         rows = _word_rows([t[2] for t in terms], None)
         return (np.array([t[0] for t in terms], dtype=np.intp),
                 np.array([t[1] for t in terms], dtype=np.intp),
@@ -96,8 +106,9 @@ def extract(q: Poly) -> MiddleMatrixRep:
     """Middle-matrix representation of a symmetric, pure-quadratic-in-h q.
 
     Each word must contain exactly two h letters and q must equal its
-    transpose; violations raise ValueError.  Cell (m_i, m_j) holds mid -> c
-    for every term m_i^T h mid h m_j -> c, in canonical order of mid.
+    transpose; violations raise ValueError.  Every term m_i^T h mid h m_j
+    -> c of q becomes the cell term (i, j, mid, c); the terms are sorted by
+    cell, row-major, and within a cell in canonical order of mid.
     reconstruct(extract(q)) == q exactly, and Z_ij^T == Z_ji entrywise.
     """
     if not q.is_symmetric():
@@ -114,13 +125,10 @@ def extract(q: Poly) -> MiddleMatrixRep:
         splits.append((left[::-1], mid, right, c))
     border = sorted({m for mi, _, mj, _ in splits for m in (mi, mj)}, key=word_key)
     index = {m: i for i, m in enumerate(border)}
-    n = len(border)
-    cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for mi, mid, mj, c in sorted(splits, key=lambda s: word_key(s[1])):
-        # A word has one (left, mid, right) split, so no cell entry repeats.
-        cells[index[mi]][index[mj]][mid] = c
-    Z = tuple(tuple(Poly._raw(q.g, cell) for cell in row) for row in cells)
-    return MiddleMatrixRep(g=q.g, border=tuple(border), Z=Z)
+    # A word has one (left, mid, right) split, so no key repeats.
+    cells = sorted(((index[mi], index[mj], mid, c) for mi, mid, mj, c in splits),
+                   key=lambda t: (t[0], t[1], word_key(t[2])))
+    return MiddleMatrixRep(g=q.g, border=tuple(border), cells=tuple(cells))
 
 
 def reconstruct(rep: MiddleMatrixRep) -> Poly:
@@ -128,11 +136,7 @@ def reconstruct(rep: MiddleMatrixRep) -> Poly:
     prefixes = [m[::-1] + _H for m in rep.border]
     suffixes = [_H + m for m in rep.border]
     return Poly._raw(rep.g, _sum_terms(
-        (prefix + mid + suffix, c)
-        for prefix, row in zip(prefixes, rep.Z)
-        for suffix, z in zip(suffixes, row)
-        for mid, c in z._terms.items()
-    ))
+        (prefixes[i] + mid + suffixes[j], c) for i, j, mid, c in rep.cells))
 
 
 def zeroes_violation(rep: MiddleMatrixRep) -> Optional[tuple[int, int]]:
@@ -141,13 +145,9 @@ def zeroes_violation(rep: MiddleMatrixRep) -> Optional[tuple[int, int]]:
     Scanned in canonical border order; such a pair certifies that the
     reconstructed polynomial cannot be matrix positive.  None when absent.
     """
-    n = rep.size
-    for i in range(n):
-        if rep.Z[i][i].is_zero():
-            for j in range(n):
-                if j != i and not rep.Z[i][j].is_zero():
-                    return (i, j)
-    return None
+    # The cells are sorted row-major: the first term off a zero diagonal wins.
+    diagonal = {i for i, j, _, _ in rep.cells if i == j}
+    return next(((i, j) for i, j, _, _ in rep.cells if i not in diagonal), None)
 
 
 def _evaluate_cells(N: int, i, j, coef, rows, levels, index, X: tuple) -> np.ndarray:

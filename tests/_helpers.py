@@ -122,9 +122,32 @@ def sweep_points() -> list:
     return points
 
 
+def middle_rep_from_grid(g: int, border, Z):
+    """A hand-built MiddleMatrixRep of the N x N grid Z of Poly cells.  Its
+    cell terms list each cell's terms in that cell's own Poly order, which
+    need not be canonical, so evaluate_middle sums each cell in the order
+    listed."""
+    from ncharm.middlematrix import MiddleMatrixRep
+
+    return MiddleMatrixRep(g=g, border=tuple(border), cells=tuple(
+        (i, j, mid, c) for i, row in enumerate(Z) for j, z in enumerate(row)
+        for mid, c in z._terms.items()))
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+
+def zeroes_violation_oracle(rep):
+    """zeroes_violation by a row-major scan of the grid rep.Z."""
+    Z = rep.Z
+    for i, row in enumerate(Z):
+        if Z[i][i].is_zero():
+            for j, z in enumerate(row):
+                if j != i and not z.is_zero():
+                    return (i, j)
+    return None
 
 
 def assert_point_check_matches(p: Poly, X):

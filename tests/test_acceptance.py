@@ -44,6 +44,7 @@ from ncharm.cli import run
 from ncharm.positivity import draw_symmetric, substream
 
 from _helpers import (
+    middle_rep_from_grid,
     random_poly,
     random_symmetric_homogeneous,
     random_two_h_symmetric,
@@ -191,9 +192,7 @@ def _laplacian_table_doubled(A: dict) -> MiddleMatrixRep:
     for i in range(7):
         for j in range(i):
             z[i][j] = z[j][i].transpose()
-    return MiddleMatrixRep(
-        g=2, border=tuple(border), Z=tuple(tuple(row) for row in z)
-    )
+    return middle_rep_from_grid(2, border, z)
 
 
 def test_criterion_06_degree4_middle_matrix_table():

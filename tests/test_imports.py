@@ -152,3 +152,22 @@ def test_one_ordered_term_sum():
                     isinstance(t, ast.Subscript) for t in node.targets):
                 found.append((path.stem, owner.get(node), node.lineno))
     assert [(m, f) for m, f, _ in found] == [("ncpoly", "_sum_terms")], found
+
+
+def test_one_middle_matrix_producer():
+    # zeroes_violation and the CLI's text branch read a representation's
+    # cell terms as sorted by cell, then by canonical mid; extract is the
+    # one function in the package that constructs MiddleMatrixRep.
+    found = []
+    for path in sorted((SRC / "ncharm").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "MiddleMatrixRep" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append((path.stem, owner.get(node), node.lineno))
+    assert [(m, f) for m, f, _ in found] == [("middlematrix", "extract")], found

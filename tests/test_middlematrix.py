@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from ncharm import (
     laplacian,
     parse,
     reconstruct,
+    render_word,
     sample_matrix_positive,
     subharmonic_at_point,
     symmetrize,
@@ -21,8 +23,9 @@ from ncharm import (
     zeroes_violation,
 )
 from ncharm import middlematrix
+from ncharm.cli import run
 from ncharm.middlematrix import _evaluate_laplacian_middle
-from ncharm.ncpoly import _compile
+from ncharm.ncpoly import _compile, word_key
 
 from _helpers import (
     assert_point_check_matches,
@@ -30,7 +33,9 @@ from _helpers import (
     random_point,
     random_symmetric_homogeneous,
     random_two_h_symmetric,
+    random_word,
     sweep_points,
+    zeroes_violation_oracle,
 )
 
 
@@ -98,6 +103,51 @@ class TestExtract:
         a._cells  # the compiled plan is cached state, not a field
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != extract(parse("h*x1*h", 2)) and a != (a.g, a.border, a.Z)
+
+    def test_scales_with_terms_not_cells(self):
+        # p = q + q^T, q of 300 random 8-letter words over x1..x6: Lap(p)
+        # has ~700 border words, so ~500,000 cells, of which a few thousand
+        # hold terms.  A grid of cells takes ~69 MB of traced peak here; the
+        # cell terms take ~1 MB.
+        rnd = random.Random(2300)
+        terms = {}
+        for _ in range(300):
+            w = random_word(rnd, 6, 8)
+            terms[w] = terms.get(w, 0) + Fraction(rnd.randint(-5, 5) or 1, rnd.randint(1, 3))
+        q = Poly(6, terms)
+        lap = laplacian(q + q.transpose())
+        tracemalloc.start()
+        try:
+            rep = extract(lap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.size > 600 and peak < 8 << 20
+        assert reconstruct(rep) == lap
+        code, out, _ = run(["middle-matrix", "--vars", "6"], lap.render())
+        names = [render_word(bytes([0]) + m) for m in rep.border]
+        want = ["border: " + ", ".join(names)] + [
+            f"Z[{i + 1}][{j + 1}] = {z.render()}"
+            for i, row in enumerate(rep.Z) for j, z in enumerate(row) if not z.is_zero()]
+        assert code == 0 and out.splitlines() == want
+
+    def test_cells_and_zeroes_scan_equal_the_grid(self):
+        # The cell terms list exactly the grid's terms, by cell row-major,
+        # then in canonical mid order, and zeroes_violation equals a
+        # row-major scan of the grid.
+        rnd = random.Random(2301)
+        found = 0
+        for k in range(400):
+            q = random_two_h_symmetric(rnd, 1 + k % 3)
+            rep = extract(q)
+            grid = [(i, j, mid, c) for i, row in enumerate(rep.Z) for j, z in enumerate(row)
+                    for mid, c in sorted(z._terms.items(), key=lambda t: word_key(t[0]))]
+            assert list(rep.cells) == grid
+            assert reconstruct(rep) == q
+            violation = zeroes_violation(rep)
+            assert violation == zeroes_violation_oracle(rep)
+            found += violation is not None
+        assert 0 < found < 400
 
     def test_middle_matrix_symmetry(self):
         rnd = random.Random(32)

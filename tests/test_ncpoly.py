@@ -20,11 +20,12 @@ from ncharm import (
 from ncharm.cli import emit_json
 from ncharm import middlematrix, ncpoly
 from ncharm.harmonicspace import gamma_power_parts
-from ncharm.middlematrix import MiddleMatrixRep, evaluate_middle, extract
+from ncharm.middlematrix import evaluate_middle, extract
 from ncharm.ncpoly import EvalPlan
 
 from _helpers import (
     evaluate_oracle,
+    middle_rep_from_grid,
     mul_oracle,
     random_poly,
 )
@@ -367,7 +368,7 @@ class TestEvalPlanKernel:
             g = rnd.randint(2, 3)
             cells = self._groups(rnd, g, [1, 40, 0, 2, 17, 1, 3, 9, 1], range(1, g + 1))
             Z = tuple(tuple(cells[3 * i : 3 * i + 3]) for i in range(3))
-            rep = MiddleMatrixRep(g=g, border=(b"", word(1), word(1, 1)), Z=Z)
+            rep = middle_rep_from_grid(g, (b"", word(1), word(1, 1)), Z)
             pt = self._point(rnd, g, rnd.randint(1, 4))
             n = pt.n
             want = [[evaluate_oracle(z, pt) for z in row] for row in Z]
@@ -511,8 +512,8 @@ class TestEvalPlanCompile:
                 for w in rnd.sample(words, rnd.randint(0, len(words))):
                     terms[w] = rnd.choice(shared + [Fraction(rnd.randint(1, 5), 3)])
                 cells.append(Poly._raw(g, terms))
-            rep = MiddleMatrixRep(g=g, border=(b"", word(1)),
-                                  Z=((cells[0], cells[1]), (cells[2], cells[3])))
+            rep = middle_rep_from_grid(g, (b"", word(1)),
+                                       ((cells[0], cells[1]), (cells[2], cells[3])))
             calls = self._count(monkeypatch)
             rep._cells
             assert len(calls) == self._objects(cells)
