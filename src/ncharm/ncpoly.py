@@ -145,9 +145,11 @@ class Poly:
 
     Instances are immutable by convention; every operation returns a fresh
     Poly and never mutates its operands, so values can be shared freely.
+    Data computed from the terms alone (is_symmetric, the EvalPlan) is kept
+    on the Poly on first use, by _derived.
     """
 
-    __slots__ = ("g", "_terms")
+    __slots__ = ("g", "_terms", "_memo")
 
     def __init__(self, g: int, terms: Optional[dict] = None):
         check_num_vars(g)
@@ -161,6 +163,7 @@ class Poly:
                     _validate_word(w, g)
                     clean[w] = c
         self._terms = clean
+        self._memo = None
 
     # ----- constructors -------------------------------------------------
 
@@ -234,14 +237,7 @@ class Poly:
 
     def is_symmetric(self) -> bool:
         """True iff p equals its transpose, exactly."""
-        # Coefficients are normalised, so equal ones have equal numerators
-        # and denominators; comparing those skips Fraction.__eq__.
-        for w, c in self._terms.items():
-            d = self._terms.get(w[::-1])
-            if d is not c and (d is None or d.numerator != c.numerator
-                               or d.denominator != c.denominator):
-                return False
-        return True
+        return _derived(self, _symmetric)
 
     # ----- algebra ------------------------------------------------------
 
@@ -327,6 +323,7 @@ class Poly:
         p = cls.__new__(cls)
         p.g = g
         p._terms = terms
+        p._memo = None
         return p
 
     # ----- rendering / serialization -------------------------------------
@@ -378,6 +375,28 @@ class Poly:
             w = bytes(entry["word"])
             terms[w] = terms.get(w, Fraction(0)) + Fraction(int(num), int(den))
         return cls(g, terms)
+
+
+def _symmetric(p: Poly) -> bool:
+    # Coefficients are normalised, so equal ones have equal numerators and
+    # denominators; comparing those skips Fraction.__eq__.
+    for w, c in p._terms.items():
+        d = p._terms.get(w[::-1])
+        if d is not c and (d is None or d.numerator != c.numerator
+                           or d.denominator != c.denominator):
+            return False
+    return True
+
+
+def _derived(p: Poly, make):
+    """make(p), computed on first use and kept on p.  make reads p's terms
+    alone, which never change, so the value holds as long as p lives."""
+    memo = p._memo
+    if memo is None:
+        memo = p._memo = {}
+    if make not in memo:
+        memo[make] = make(p)
+    return memo[make]
 
 
 def _render_fraction(c: Fraction) -> str:
@@ -807,4 +826,4 @@ def evaluate(p: Poly, pt: MatrixPoint) -> np.ndarray:
     Every matrix in pt must be n x n; the result is the n x n real matrix
     obtained by substituting pt.X[i-1] for x_i and pt.H for h.
     """
-    return EvalPlan(p).run([pt.H, *pt.X])
+    return _derived(p, EvalPlan).run([pt.H, *pt.X])

@@ -19,8 +19,8 @@ of the Laplacian in every direction H at that point.  The point check
 builds the terms of Z(X) straight from p's words, without the Laplacian or
 its representation, and evaluates them with evaluate_middle's block
 routine; its exact reference is evaluate_middle(extract(laplacian(p)), X),
-to which it is byte-equal.  The samplers run one EvalPlan per polynomial,
-and both multiply words in ncpoly's one kernel.
+to which it is byte-equal.  The samplers run the EvalPlan that each Poly
+compiles once and keeps, and both multiply words in ncpoly's one kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .calculus import laplacian
 from .middlematrix import _evaluate_laplacian_middle
-from .ncpoly import _RUN_BYTES, EvalPlan, Poly
+from .ncpoly import _RUN_BYTES, H_LETTER, EvalPlan, Poly, _derived
 
 __all__ = [
     "SplitMix64",
@@ -65,10 +65,10 @@ MAX_SAMPLE_SIZE = 64
 
 # ldl_pivots runs its Schur update on the whole masked ndarray while more
 # than this many rows remain, and over Python lists after.  Whole random PSD
-# eliminations, lists alone / masked alone: 93 / 155 us at 8 rows, 280 /
-# 285 us at 16, 1321 / 609 us at 32.  Over the 32 middle matrices (3 to 60
-# rows) of the sweep benchmark's point ops, a switch at 8 or 16 took 5.6 ms,
-# at 32 6.9 ms, lists alone 11.7 ms and masked alone 6.2 ms.
+# eliminations, lists alone / masked alone: 47 / 74 us at 8 rows, 142 /
+# 141 us at 16, 638 / 323 us at 32.  Over the 32 middle matrices (3 to 60
+# rows) of the sweep benchmark's point ops, a switch at 8 or 16 took 2.4 ms,
+# at 32 3.0 ms, lists alone 5.8 ms and masked alone 2.7 ms (best of 60).
 _LDL_LIST_MAX = 16
 
 
@@ -271,7 +271,11 @@ def ldl_pivots(M: np.ndarray, tol: float) -> tuple[list[float], bool]:
                 k = int(np.argmax(np.where(active, np.abs(A.diagonal()), -1.0)))
                 d = float(A[k, k])
                 if abs(d) <= tol:
-                    break
+                    # The remaining diagonal is numerically zero: the zero
+                    # row test reads the largest |entry| left (nan passes).
+                    B = A[np.ix_(active, active)]
+                    psd = psd and not np.max(np.abs(B)) > tol
+                    return pivots + B.diagonal().tolist(), psd
                 pivots.append(d)
                 if d < -tol:
                     psd = False
@@ -406,12 +410,13 @@ def sample_matrix_positive(p: Poly, cfg: SampleConfig) -> SampleVerdict:
     """
     if not p.is_symmetric():
         raise ValueError("sample_matrix_positive requires a symmetric polynomial")
-    plan = EvalPlan(p)
+    plan = _derived(p, EvalPlan)
+    with_h = H_LETTER in plan.letters
     tested = 0
     min_seen = float("inf")
     for n in cfg.sizes:
-        draw = partial(_draw_stack, cfg, p.g, n, with_h=p.contains_h)
-        stacks = _stacks(cfg.samples_per_size, n, p.g + p.contains_h)
+        draw = partial(_draw_stack, cfg, p.g, n, with_h=with_h)
+        stacks = _stacks(cfg.samples_per_size, n, p.g + with_h)
         for s, drawn, eigs in _search(plan, stacks, draw):
             me = float(eigs[0])
             tested += 1
@@ -463,7 +468,7 @@ def subharmonic_at_point(
         Hs = _draw_matrices(cfg, n, samples, range(p.g, p.g + 1))[:, 0]
         return Hs, [Hs, *X]
 
-    plan = EvalPlan(laplacian(p))
+    plan = _derived(laplacian(p), EvalPlan)
     for s, H, eigs in _search(plan, _stacks(cfg.h_samples, n, 1), draw):
         if eigs[0] < -cfg.tol:
             return PointVerdict(
@@ -477,7 +482,7 @@ def subharmonic_at_point(
 def odd_witness(lap: Poly, cfg: SampleConfig) -> Optional[Witness]:
     """Witness search for odd total degree: the Laplacian is odd in x, so
     if a sampled point is positive, flipping the sign of X flips it."""
-    plan = EvalPlan(lap)
+    plan = _derived(lap, EvalPlan)
     stacks = [range(s, s + 1) for s in range(min(cfg.samples_per_size, 8))]
     for n in cfg.sizes:
         draw = partial(_draw_stack, cfg, lap.g, n, with_h=True)

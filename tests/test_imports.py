@@ -171,3 +171,35 @@ def test_one_middle_matrix_producer():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 found.append((path.stem, owner.get(node), node.lineno))
     assert [(m, f) for m, f, _ in found] == [("middlematrix", "extract")], found
+
+
+def test_poly_terms_are_never_mutated():
+    # A Poly keeps data derived from its terms (ncpoly._derived), which is
+    # sound only while no term map changes once built.  So ._terms is bound
+    # only by the constructors (__init__ and _raw of Poly and of CommPoly,
+    # which keeps the same convention), and nothing assigns or deletes
+    # through it or calls a mutating dict method on it.
+    constructors = {(cls, fn) for cls in ("Poly", "CommPoly") for fn in ("__init__", "_raw")}
+    mutators = {"pop", "update", "clear", "setdefault", "popitem"}
+    found = []
+    for path in sorted((SRC / "ncharm").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        owner = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    for inner in ast.walk(fn):
+                        owner[inner] = (cls.name, getattr(fn, "name", None))
+        for node in ast.walk(tree):
+            store = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+            if isinstance(node, ast.Attribute) and node.attr == "_terms":
+                bad = store and owner.get(node) not in constructors
+            elif isinstance(node, ast.Subscript):
+                bad = store and getattr(node.value, "attr", None) == "_terms"
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in mutators:
+                bad = getattr(node.func.value, "attr", None) == "_terms"
+            else:
+                continue
+            if bad:
+                found.append((path.stem, owner.get(node), node.lineno))
+    assert found == []

@@ -3,6 +3,7 @@ import random
 import time
 import warnings
 from fractions import Fraction
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ncharm import (
     subharmonic_at_point,
     symmetrize,
 )
-from ncharm import calculus, positivity
+from ncharm import calculus, ncpoly, positivity
 from ncharm.positivity import (
     SplitMix64,
     _check_numeric_symmetry,
@@ -28,7 +29,12 @@ from ncharm.positivity import (
     substream,
 )
 
-from _helpers import ldl_pivots_oracle, random_symmetric_homogeneous
+from _helpers import (
+    ldl_pivots_oracle,
+    random_point,
+    random_poly,
+    random_symmetric_homogeneous,
+)
 
 
 REGION_FAMILY = "x1^3 - x1*x2^2 - x2^2*x1 + x2*x1*x2"
@@ -167,6 +173,16 @@ class TestLdlOracle:
         assert {psd for _, psd in results} == {True, False}
         assert any(any(p != p for p in pivots) for pivots, _ in results)
         assert any(abs(pivots[-1]) <= 1e-9 for pivots, _ in results)
+        # The masked loop's own zero-block exit: more than _LDL_LIST_MAX
+        # rows left once the remaining diagonal is within tol, its zero row
+        # test passed (psd) and failed (not psd with no pivot below -tol).
+        exits = set()
+        for pivots, psd in results:
+            left = len(list(takewhile(lambda v: abs(v) <= 1e-9, reversed(pivots))))
+            if left > positivity._LDL_LIST_MAX:
+                exits.add("passed" if psd else
+                          "negative pivot" if any(v < -1e-9 for v in pivots) else "failed")
+        assert {"passed", "failed"} <= exits
 
     def test_pivots_bit_equal_without_warnings(self):
         bad = [(kind, M.shape[0]) for kind, M in _ldl_cases() if not _ldl_agrees(M)]
@@ -198,6 +214,71 @@ class TestLdlOracle:
     def test_rejects_tol_below_zero(self, tol):
         with pytest.raises(ValueError, match="tol must be a number >= 0"):
             ldl_pivots(np.eye(2), tol)
+
+
+class TestPlanKeptOnPoly:
+    """Each Poly compiles its EvalPlan once, on first use, and keeps it
+    (ncpoly._derived) for evaluate and every sampler."""
+
+    def _count(self, monkeypatch):
+        built = []
+        init = ncpoly.EvalPlan.__init__
+
+        def counting(plan, p):
+            built.append(p)
+            init(plan, p)
+
+        monkeypatch.setattr(ncpoly.EvalPlan, "__init__", counting)
+        return built
+
+    def test_sampler_compiles_once(self, monkeypatch):
+        lap = laplacian(parse("x1^2*x2^2*x1^2 + x2^6 + x1^6", 2))
+        built = self._count(monkeypatch)
+        cfg = SampleConfig(seed=3, sizes=(1, 2), samples_per_size=3)
+        verdicts = {_canon_verdict(sample_matrix_positive(lap, cfg)) for _ in range(3)}
+        assert built == [lap]
+        assert len(verdicts) == 1
+
+    def test_odd_witness_fallback_compiles_once(self, monkeypatch):
+        # No eigenvalue is beyond a tol this large, so the sign-flip search
+        # finds nothing and falls back to sample_matrix_positive.
+        lap = laplacian(parse(REGION_FAMILY, 2))
+        built = self._count(monkeypatch)
+        assert positivity.odd_witness(lap, SampleConfig(tol=1e300)) is None
+        assert built == [lap]
+
+    def test_evaluate_compiles_once(self, monkeypatch):
+        p = parse("x1*x2 + x2*x1 + 3*x2^2", 2)
+        pt = MatrixPoint(X=(np.diag([1.0, -2.0]), np.array([[0.5, 1.0], [1.0, 3.0]])))
+        built = self._count(monkeypatch)
+        assert evaluate(p, pt).tobytes() == evaluate(p, pt).tobytes()
+        assert built == [p]
+
+    def test_kept_plan_equals_a_fresh_one(self):
+        rnd = random.Random(47)
+        cfg = SampleConfig(seed=5, sizes=(1, 2), samples_per_size=2)
+        for i in range(200):
+            q = random_poly(rnd, 2, 4, with_h=bool(i % 2))
+            p = q if i % 3 == 0 else q + q.transpose()
+            fresh = Poly._raw(p.g, dict(p._terms))
+            assert [p.is_symmetric() for _ in range(3)] == [fresh.is_symmetric()] * 3
+            assert p.is_symmetric() == (p == p.transpose())
+            x1, x2, h = random_point(rnd, 3, 2)
+            pt = MatrixPoint(X=(x1, x2), H=h)
+            want = ncpoly.EvalPlan(fresh).run([pt.H, *pt.X]).tobytes()
+            assert [evaluate(p, pt).tobytes() for _ in range(2)] == [want] * 2
+            if p.is_symmetric():
+                want = _canon_verdict(sample_matrix_positive(fresh, cfg))
+                got = [_canon_verdict(sample_matrix_positive(p, cfg)) for _ in range(2)]
+                assert got == [want] * 2
+
+
+def _canon_verdict(v):
+    w = v.witness
+    witness = None if w is None else (
+        w.n, w.sample_index, w.min_eig.hex(),
+        tuple(np.asarray(M).tobytes() for M in (*w.X, w.H) if M is not None))
+    return v.kind, v.samples_tested, v.min_eigenvalue_seen.hex(), witness
 
 
 class TestMinEigenvalue:
