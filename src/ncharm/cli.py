@@ -314,11 +314,18 @@ def _cmd_middle_matrix(args, stdin, out) -> int:
     q = _read_poly(args, stdin)
     rep = middlematrix.extract(q)
     if args.json:
-        obj = {
-            "border": [list(m) for m in rep.border],
-            "Z": [[z.to_json_obj() for z in row] for row in rep.Z],
-        }
-        print(emit_json(obj), file=out)
+        # emit_json of {"border": ..., "Z": grid}, written a row at a time
+        # from the cell terms, so no N x N grid of Polys is built.
+        zero = emit_json(Poly.zero(rep.g).to_json_obj())
+        rows = {i: list(terms) for i, terms in groupby(rep.cells, key=lambda t: t[0])}
+        out.write('{"border":' + emit_json([list(m) for m in rep.border]) + ',"Z":[')
+        for i in range(rep.size):
+            row = [zero] * rep.size
+            for j, cell in groupby(rows.get(i, ()), key=lambda t: t[1]):
+                z = Poly._raw(rep.g, {mid: c for _, _, mid, c in cell})
+                row[j] = emit_json(z.to_json_obj())
+            out.write(("," if i else "") + "[" + ",".join(row) + "]")
+        print("]}", file=out)
     else:
         names = [render_word(bytes([H_LETTER]) + m) for m in rep.border]
         print("border: " + ", ".join(names), file=out)

@@ -13,24 +13,20 @@ A middle matrix is sparse: the representation stores its cell terms
 (i, j, mid, c), one per word of q, and the N x N grid of Poly cells, Z, is
 a view built only when read, where Z_ij^T == Z_ji holds entrywise.
 
-The middle matrix of a Laplacian has one exact construction,
-extract(laplacian(p)), and evaluate_middle evaluates it.  The point check
-of positivity.subharmonic_at_point evaluates Z(X) from a table of cells
-built in one int64 pass over p's words (_laplacian_cells), byte-equal to
-evaluate_middle(extract(laplacian(p)), X), which is its reference; an input
-that the pass does not fit in int64 goes to that reference.  Both sum each
-cell's terms in canonical order of their middle words, so neither depends
-on the order in which the Laplacian expands.
+The middle matrix of a Laplacian has one construction,
+extract(laplacian(p)), and evaluate_middle evaluates it: the point check of
+positivity.subharmonic_at_point takes Z(X) from there.  Each cell sums its
+terms in canonical order of their middle words, so Z(X) does not depend on
+the order in which the Laplacian expands.  This module imports nothing from
+calculus, so no second expansion of the Laplacian lives beside extract.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .calculus import _check_laplacian_letters, laplacian
 from .ncpoly import (
     _RUN_BYTES,
     H_LETTER,
@@ -58,16 +54,6 @@ __all__ = [
 ]
 
 _H = bytes([H_LETTER])
-
-# The most slots, words times C(longest length, 2), that _laplacian_cells
-# compares for equal letters; past it the reference takes the input.  At
-# the cap, on 37,448 8-letter words over x1..x126 that pair only their
-# ends, the table takes 0.07-0.08 s and 21 MB of traced peak memory and
-# the reference 0.21-0.35 s and 17 MB; on 8,417 random 16-letter words
-# over x1, x2, half of whose slots pair, the table takes 0.23-0.25 s and
-# 106 MB.
-_PAIR_SLOTS = 1 << 20
-
 
 @dataclass(frozen=True)
 class MiddleMatrixRep:
@@ -187,87 +173,3 @@ def evaluate_middle(rep: MiddleMatrixRep, X: Sequence[np.ndarray]) -> np.ndarray
     point = MatrixPoint(X=tuple(X))
     return _evaluate_cells(rep.size, *rep._cells, point.X)
 
-
-def _laplacian_cells(p: Poly) -> tuple:
-    """N and the terms of extract(laplacian(p))._cells in code order, so
-    each cell's terms in canonical mid order, as there, from one array pass
-    over p's words: no Laplacian word, Fraction, representation or plan is
-    made.  Inputs the pass does not fit in int64 go to that exact
-    reference instead.  p must be h-free and symmetric; neither is tested
-    here.
-
-    Words are int64 codes in base B = g + 1 with the letters as digits.  An
-    x-word's code is its digit string: no letter is 0, so words of
-    different lengths have different codes, and codes sort in canonical
-    word order.  A Laplacian word of length l may start with h = 0, so its
-    code adds B^l.  p's words are read at once as right-aligned rows led by
-    0s, which add nothing to a code; column c carries B^(top-1-c).  Every
-    pair of equal letters yields one contribution.  The contributions of
-    one code are summed as exact integer numerators over the common
-    denominator L, a zero sum is dropped, and one contribution per
-    surviving code fixes its word.  Border words, cells and middle words
-    come from the codes by integer division; a middle word's digits are
-    its right-aligned row of letters, led by 0s, the identity slot.  The
-    distinct middle words are compiled once.
-
-    The reference takes p when B^(top+1) reaches 2^63 for the longest word
-    length top, when the largest numerator times the slots (words times
-    C(top, 2), which bound the contributions, or 1 if that is 0) reaches
-    2^63, or when the slots pass _PAIR_SLOTS.
-    """
-    import numpy as np
-
-    words = list(p._terms)
-    coefs = list(p._terms.values())
-    dens = [c.denominator for c in coefs]
-    L = math.lcm(*dens)
-    c2 = [2 * c.numerator * (L // d) for c, d in zip(coefs, dens)]
-    B = p.g + 1
-    # _word_rows gives at least one column.
-    top = max(1, max(map(len, words), default=0))
-    slots = len(words) * (top * (top - 1) // 2)
-    if (B ** (top + 1) >= 1 << 63 or slots > _PAIR_SLOTS
-            or max(map(abs, c2), default=0) * max(1, slots) >= 1 << 63):
-        rep = extract(laplacian(p))
-        return (rep.size, *rep._cells)
-    pw = B ** np.arange(top + 1, dtype=np.int64)
-    W = _word_rows(words, None)
-    pad = (W == 0).sum(1)
-    ia, ib = np.nonzero(np.less.outer(np.arange(top), np.arange(top)))
-    t, k = np.nonzero((W[:, ia] == W[:, ib]) & (W[:, ia] > 0))
-    a, b = ia[k], ib[k]
-    e = top - 1 - b
-    code = W @ pw[top - 1 :: -1] + pw[top - pad]
-    lap = code[t] - W[t, a] * (pw[top - 1 - a] + pw[e])
-    # Terms in code order.  Within one cell the prefix m_i^T h and the
-    # suffix h m_j are fixed, so codes there sort by mid length, then by
-    # mid digits: canonical mid order, as extract lists the cell.
-    _, k, inv = np.unique(lap, return_index=True, return_inverse=True)
-    sums = np.zeros(len(k), dtype=np.int64)
-    np.add.at(sums, inv, np.array(c2, dtype=np.int64)[t])
-    k, sums = k[sums != 0], sums[sums != 0]
-    # One contribution per term: those of one code share its word.
-    t, a, b, e, lap = t[k], a[k], b[k], e[k], lap[k]
-    # Border words: the reversed part before the first h, the part after
-    # the second.
-    rcode = W @ pw[:top]
-    border, cell = np.unique(
-        np.concatenate((rcode[t] % pw[a] // pw[pad[t]], lap % pw[e])),
-        return_inverse=True)
-    S = len(k)
-    coef = np.array([v / L for v in sums.tolist()])
-    mids, m = np.unique(lap // pw[e + 1] % pw[b - a - 1], return_inverse=True)
-    depth = max(1, int((b - a).max(initial=2)) - 1)
-    rows = (mids[:, None] // pw[:depth][::-1] % B).astype(np.intp)
-    levels, index = _compile(rows)
-    return len(border), cell[:S], cell[S:], coef, rows.take(m, 0), levels, index.take(m)
-
-
-def _evaluate_laplacian_middle(p: Poly, X: Sequence[np.ndarray]) -> np.ndarray:
-    """evaluate_middle(extract(laplacian(p)), X) byte for byte: the cells of
-    _laplacian_cells added by _evaluate_cells, which sums each cell's terms
-    in canonical mid order, as for evaluate_middle.  p must be h-free and
-    symmetric."""
-    _check_laplacian_letters(p)
-    point = MatrixPoint(X=tuple(X))
-    return _evaluate_cells(*_laplacian_cells(p), point.X)

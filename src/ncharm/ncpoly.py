@@ -145,8 +145,9 @@ class Poly:
 
     Instances are immutable by convention; every operation returns a fresh
     Poly and never mutates its operands, so values can be shared freely.
-    Data computed from the terms alone (is_symmetric, the EvalPlan) is kept
-    on the Poly on first use, by _derived.
+    Data computed from the terms alone is kept on the Poly on first use, by
+    _derived: is_symmetric, the EvalPlan, and, once the point check
+    (positivity.subharmonic_at_point) has run on p, Lap(p).
     """
 
     __slots__ = ("g", "_terms", "_memo")

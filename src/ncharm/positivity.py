@@ -15,12 +15,11 @@ evaluates a stack of samples per plan run.  Sampling can only refute
 positivity (produce a witness with a negative eigenvalue); the one
 per-point certificate available here is positive semidefiniteness of the
 evaluated middle matrix Z(X) of the Laplacian, which guarantees positivity
-of the Laplacian in every direction H at that point.  The point check
-builds the terms of Z(X) straight from p's words, without the Laplacian or
-its representation, and evaluates them with evaluate_middle's block
-routine; its exact reference is evaluate_middle(extract(laplacian(p)), X),
-to which it is byte-equal.  The samplers run the EvalPlan that each Poly
-compiles once and keeps, and both multiply words in ncpoly's one kernel.
+of the Laplacian in every direction H at that point.  The point check takes
+Z(X) from evaluate_middle(extract(laplacian(p)), X), the one construction
+of the Laplacian's middle matrix, with Lap(p) kept on p.  The samplers run
+the EvalPlan that each Poly compiles once and keeps, and both multiply
+words in ncpoly's one kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import laplacian
-from .middlematrix import _evaluate_laplacian_middle
+from .middlematrix import evaluate_middle, extract
 from .ncpoly import _RUN_BYTES, H_LETTER, EvalPlan, Poly, _derived
 
 __all__ = [
@@ -441,11 +440,11 @@ def subharmonic_at_point(
 ) -> PointVerdict:
     """Decide positivity of the Laplacian of p at a fixed tuple X.
 
-    Z(X), the middle matrix of the Laplacian evaluated at X, is computed
-    straight from p's words in array passes, byte-equal to its exact
-    reference evaluate_middle(extract(laplacian(p)), X), which takes the
-    inputs those passes do not fit in int64.  If Z(X) is PSD the verdict
-    holds for every direction H (certificate).  Otherwise up to cfg.h_samples
+    Z(X), the middle matrix of the Laplacian evaluated at X, is
+    evaluate_middle(extract(lap), X), where lap = Lap(p) is built on the
+    first call for p and kept on p, as is its EvalPlan; so repeated calls
+    on one p expand the Laplacian once.  If Z(X) is PSD the verdict holds
+    for every direction H (certificate).  Otherwise up to cfg.h_samples
     directions are sampled for a concrete negative eigenvalue of the
     Laplacian; failing both, the honest answer is Unknown, because an
     indefinite Z(X) does not by itself refute positivity at X.  p must be
@@ -457,8 +456,9 @@ def subharmonic_at_point(
     if not p.is_symmetric():
         raise ValueError("subharmonic_at_point requires a symmetric polynomial")
     X = tuple(X)
+    lap = _derived(p, laplacian)
     with np.errstate(over="ignore", invalid="ignore"):
-        Zx = _evaluate_laplacian_middle(p, X)
+        Zx = evaluate_middle(extract(lap), X)
     X = tuple(np.asarray(M, dtype=float) for M in X)
     n = X[0].shape[0]
     if ldl_pivots(Zx, cfg.tol)[1]:
@@ -468,7 +468,7 @@ def subharmonic_at_point(
         Hs = _draw_matrices(cfg, n, samples, range(p.g, p.g + 1))[:, 0]
         return Hs, [Hs, *X]
 
-    plan = _derived(laplacian(p), EvalPlan)
+    plan = _derived(lap, EvalPlan)
     for s, H, eigs in _search(plan, _stacks(cfg.h_samples, n, 1), draw):
         if eigs[0] < -cfg.tol:
             return PointVerdict(

@@ -151,50 +151,43 @@ def zeroes_violation_oracle(rep):
 
 
 def assert_point_check_matches(p: Poly, X):
-    """The point check's Z(X), _evaluate_laplacian_middle(p, X), against
-    its exact reference evaluate_middle(extract(laplacian(p)), X): the same
-    shape and bytes, or the same ValueError.  Returns Z(X) or the error."""
+    """The point check's Z(X), evaluate_middle(extract(laplacian(p)), X),
+    against evaluate_middle_oracle of the middle matrix of
+    laplacian_fraction_reference(p): the same shape and bytes.  Where Z(X) raises ValueError,
+    subharmonic_at_point must raise the same.  Returns Z(X) or the error."""
+    from ncharm import SampleConfig, subharmonic_at_point
     from ncharm.calculus import laplacian
-    from ncharm.middlematrix import _evaluate_laplacian_middle, evaluate_middle, extract
+    from ncharm.middlematrix import evaluate_middle, extract
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            want = evaluate_middle(extract(laplacian(p)), X)
+            got = evaluate_middle(extract(laplacian(p)), X)
         except ValueError as exc:
             try:
-                _evaluate_laplacian_middle(p, X)
-            except ValueError as got:
-                assert str(got) == str(exc)
-                return got
+                subharmonic_at_point(p, X, SampleConfig())
+            except ValueError as err:
+                assert str(err) == str(exc)
+                return exc
             raise AssertionError(f"expected ValueError: {exc}")
-        got = _evaluate_laplacian_middle(p, X)
+        want = evaluate_middle_oracle(extract(laplacian_fraction_reference(p)),
+                                      MatrixPoint(X=tuple(X)))
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     return got
 
 
-def assert_point_cells_match(p: Poly):
-    """The point check's cell table, _laplacian_cells(p), stably ordered by
-    cell, against extract(laplacian(p))._cells term for term: the same
-    cells, middle words, prefix levels and index, and bitwise the same
-    coefficients.  Unlike Z(X), this shows the order of a cell's terms
-    even where their float sum is exact."""
-    from ncharm.calculus import laplacian
-    from ncharm.middlematrix import _laplacian_cells, extract
-
-    rep = extract(laplacian(p))
-    N, i, j, coef, rows, levels, index = _laplacian_cells(p)
-    want_i, want_j, want_coef, want_rows, want_levels, want_index = rep._cells
-    o = np.lexsort((j, i))
-    assert N == rep.size
-    for got, want in ((i[o], want_i), (j[o], want_j), (rows[o], want_rows),
-                      (index[o], want_index), (coef[o], want_coef)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert len(levels) == len(want_levels)
-    for got, want in zip(levels, want_levels):
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def evaluate_middle_oracle(rep, pt: MatrixPoint) -> np.ndarray:
+    """evaluate_middle by cells: each nonzero cell of the grid rep.Z
+    evaluated by evaluate_oracle into its block, then the whole averaged
+    with its transpose."""
+    n = pt.n
+    N = rep.size
+    M = np.zeros((N * n, N * n))
+    for i, row in enumerate(rep.Z):
+        for j, z in enumerate(row):
+            if not z.is_zero():
+                M[i * n : (i + 1) * n, j * n : (j + 1) * n] = evaluate_oracle(z, pt)
+    return (M + M.T) / 2.0
 
 
 def mul_oracle(p: Poly, q: Poly) -> Poly:

@@ -1,12 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ncharm import parse
+from ncharm import Poly, extract, laplacian, parse
 from ncharm.cli import emit_json, run
 
 # Pinned stdout: label -> argv, where "{point}" stands for a point file
@@ -187,6 +190,36 @@ class TestMiddleMatrix:
         obj = json.loads(out)
         assert obj["border"] == [[]]
         assert obj["Z"][0][0]["terms"] == [{"coeff": "1/1", "word": []}]
+
+    def test_json_without_the_grid(self):
+        # The Laplacian of p = q + q^T, q of 60 seeded 8-letter words over
+        # x1..x6, has N = 190 border words.  The --json output is that of
+        # the N x N grid of Polys, written a row at a time from the cell
+        # terms, so its traced peak stays far below that grid's.
+        rnd = random.Random(0)
+        terms = {}
+        for _ in range(60):
+            w = bytes(rnd.randint(1, 6) for _ in range(8))
+            terms[w] = Fraction(rnd.randint(1, 9), rnd.randint(1, 5))
+        q = Poly(6, terms)
+        lap = laplacian(q + q.transpose())
+        text = lap.render()
+        tracemalloc.start()
+        try:
+            code, out, _ = run(["middle-matrix", "--vars", "6", "--json", text])
+            cli_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rep = extract(lap)
+        assert (code, rep.size) == (0, 190)
+        tracemalloc.start()
+        try:
+            grid = [[z.to_json_obj() for z in row] for row in rep.Z]
+            grid_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == emit_json({"border": [list(m) for m in rep.border], "Z": grid}) + "\n"
+        assert cli_peak * 4 < grid_peak
 
     def test_rejects_wrong_shape(self):
         code, _, err = run(["middle-matrix", "--vars", "2", "x1^2"])

@@ -203,3 +203,19 @@ def test_poly_terms_are_never_mutated():
             if bad:
                 found.append((path.stem, owner.get(node), node.lineno))
     assert found == []
+
+
+def test_middlematrix_imports_nothing_from_calculus():
+    # The Laplacian's middle matrix has one construction,
+    # extract(laplacian(p)): middlematrix never expands a Laplacian itself.
+    tree = ast.parse((SRC / "ncharm" / "middlematrix.py").read_text("utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            continue
+        found += [(m, node.lineno) for m in modules if "calculus" in m.split(".")]
+    assert found == []

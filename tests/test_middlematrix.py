@@ -22,19 +22,16 @@ from ncharm import (
     word,
     zeroes_violation,
 )
-from ncharm import middlematrix
 from ncharm.cli import run
-from ncharm.middlematrix import _evaluate_laplacian_middle
 from ncharm.ncpoly import _compile, word_key
 
 from _helpers import (
     assert_point_check_matches,
-    evaluate_oracle,
+    evaluate_middle_oracle,
     random_point,
     random_symmetric_homogeneous,
     random_two_h_symmetric,
     random_word,
-    sweep_points,
     zeroes_violation_oracle,
 )
 
@@ -231,15 +228,8 @@ class TestEvaluateMiddle:
                                      for _ in range(n)]))
                 for _ in range(g)
             )
-            N = rep.size
-            M = np.zeros((N * n, N * n))
-            for i in range(N):
-                for j in range(N):
-                    if not rep.Z[i][j].is_zero():
-                        M[i * n : (i + 1) * n, j * n : (j + 1) * n] = evaluate_oracle(
-                            rep.Z[i][j], MatrixPoint(X=X)
-                        )
-            assert evaluate_middle(rep, X).tobytes() == ((M + M.T) / 2.0).tobytes()
+            want = evaluate_middle_oracle(rep, MatrixPoint(X=X))
+            assert evaluate_middle(rep, X).tobytes() == want.tobytes()
 
     def test_plan_is_compiled_once_per_rep(self, monkeypatch):
         from ncharm import middlematrix
@@ -301,9 +291,9 @@ class TestEvaluateMiddle:
 
 
 class TestEvaluateLaplacianMiddle:
-    """The point check's array evaluation of Z(X) against its exact
-    reference, evaluate_middle(extract(laplacian(p)), X): the same bytes, or
-    the same ValueError."""
+    """The point check's Z(X), evaluate_middle(extract(laplacian(p)), X),
+    against the Fraction-reference Laplacian's cells evaluated word by word:
+    the same bytes, or a ValueError that subharmonic_at_point raises too."""
 
     X = (np.array([[0.5, -1.0], [-1.0, 2.0]]), np.array([[0.0, 0.25], [0.25, -3.0]]))
 
@@ -313,8 +303,8 @@ class TestEvaluateLaplacianMiddle:
                                       "x1 + 1/10000000000000000000007"])
     def test_empty_laplacian(self, text):
         # Constant and linear terms have no pair of equal letters, and the
-        # Laplacian of x1^2 - x2^2 cancels to zero.  Numerators past 2^63
-        # with no pair slot go to the reference.
+        # Laplacian of x1^2 - x2^2 cancels to zero, whatever the size of
+        # the numerators.
         assert assert_point_check_matches(parse(text, 2), self.X).shape == (0, 0)
 
     def test_fewer_matrices_than_variables(self):
@@ -343,7 +333,7 @@ class TestEvaluateLaplacianMiddle:
 
     def test_first_out_of_range_coefficient_in_cell_order(self):
         # Lap(p)'s first term comes from x1^4 and its first cell's from
-        # x2*x1^2*x2: both paths name the first in cell order.
+        # x2*x1^2*x2: Z(X) and the point check name the first in cell order.
         big = 10 ** 309
         p = parse(f"{7 * big}*x1^4 + {big}*x2*x1^2*x2", 2)
         cells = extract(laplacian(p)).Z
@@ -362,75 +352,15 @@ class TestEvaluateLaplacianMiddle:
             Z = assert_point_check_matches(p, X)
         assert 5e240 < np.abs(Z).max() < 7e240
 
-    def assert_reference_taken(self, monkeypatch, p, X):
-        # Equal bytes, and the route handed p to laplacian, then extract.
-        assert_point_check_matches(p, X)
-        seen = []
-        with monkeypatch.context() as m:
-            for name in ("laplacian", "extract"):
-                real = getattr(middlematrix, name)
-                m.setattr(middlematrix, name,
-                          lambda q, name=name, real=real: seen.append(name) or real(q))
-            _evaluate_laplacian_middle(p, X)
-        assert seen == ["laplacian", "extract"]
-
-    @staticmethod
-    def refuse_reference(monkeypatch):
-        def refuse(q):
-            raise AssertionError("the point check reached its reference")
-
-        monkeypatch.setattr(middlematrix, "laplacian", refuse)
-        monkeypatch.setattr(middlematrix, "extract", refuse)
-
-    def test_route_builds_no_laplacian(self, monkeypatch):
-        # The benchmark's point checks and the reinsertion example of
-        # test_point_check_equals_evaluate_middle stay on the int64 route.
-        self.refuse_reference(monkeypatch)
-        points = sweep_points()
-        p = parse("x1^2*x2 - x2^3 + x3^2*x2 + x2*x1^2 + x2*x3^2", 3)
-        points += [(p, random_point(random.Random(0), 3, n)) for n in (1, 2, 3)]
-        for p, X in points:
-            assert _evaluate_laplacian_middle(p, X).shape[0] > 0
-
-    def test_codes_past_int64(self, monkeypatch):
-        # Base-255 codes pass 2^63 once the longest word has 7 letters.
-        rnd = random.Random(36)
-        X = random_point(rnd, 254, 2)
-        for _ in range(20):
-            terms = {}
-            for _ in range(rnd.randint(1, 5)):
-                w = bytes(rnd.choice([1, 2, 254]) for _ in range(rnd.randint(8, 11)))
-                terms[w] = Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
-            q = Poly(254, terms)
-            self.assert_reference_taken(monkeypatch, q + q.transpose(), X)
-
     @pytest.mark.parametrize("k", [2 ** 62 + 1, 10 ** 40 + 7])
     def test_coefficients_past_int64(self, k):
         X = random_point(random.Random(37), 2, 3)
         assert_point_check_matches(parse(f"{k}*x1^3 + x2*x1^2*x2 - {k}*x2^4", 2), X)
 
-    def test_totals_past_int64(self, monkeypatch):
-        # Each numerator 2*k fits int64, but Lap word h^2*x2^2 sums three.
-        k = 2 ** 61 + 1
-        q = parse(f"{k}*(x1^2 + x3^2 + x4^2)*x2^2", 4)
-        X = random_point(random.Random(41), 4, 2)
-        self.assert_reference_taken(monkeypatch, q + q.transpose(), X)
-
-    def test_slots_past_the_cap(self, monkeypatch):
-        # 8 words of 4 letters fill 8 * C(4, 2) = 48 slots.
-        q = parse("(x1^2 + x2^2)*(x1*x2 + x2*x1)", 2)
-        p = q + q.transpose()
-        X = random_point(random.Random(42), 2, 2)
-        monkeypatch.setattr(middlematrix, "_PAIR_SLOTS", 47)
-        self.assert_reference_taken(monkeypatch, p, X)
-        # At the cap the route takes p.
-        monkeypatch.setattr(middlematrix, "_PAIR_SLOTS", 48)
-        self.refuse_reference(monkeypatch)
-        _evaluate_laplacian_middle(p, X)
-
     def test_numerators_past_2_53(self):
-        # The total 2*k over L = 3 is past 2^53: rounding 2*k to a double
-        # before dividing would land one ulp off the correctly rounded 2*k/3.
+        # The coefficient 2*k/3 has a numerator past 2^53: rounding 2*k to a
+        # double before dividing would land one ulp off the correctly
+        # rounded 2*k/3.
         k = 25578818557822486
         assert float(2 * k) / 3 != 2 * k / 3
         X = random_point(random.Random(40), 2, 2)

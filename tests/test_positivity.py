@@ -21,7 +21,7 @@ from ncharm import (
     subharmonic_at_point,
     symmetrize,
 )
-from ncharm import calculus, ncpoly, positivity
+from ncharm import ncpoly, positivity
 from ncharm.positivity import (
     SplitMix64,
     _check_numeric_symmetry,
@@ -690,20 +690,37 @@ class TestSubharmonicAtPoint:
             X = self._random_X(rnd, rnd.randint(1, 3))
             assert subharmonic_at_point(p, X, cfg).kind == "CertifiedAllH"
 
-    def test_certified_point_never_builds_the_laplacian(self, monkeypatch):
-        def refuse(p):
-            raise AssertionError("laplacian called")
+    def test_laplacian_built_once_per_poly(self, monkeypatch):
+        # Lap(p) is kept on p: five point checks, certified or not, expand
+        # it once, and give the verdicts and witness bytes of the same
+        # checks on a fresh copy of p.
+        calls = []
+        real = positivity.laplacian
 
-        monkeypatch.setattr(calculus, "laplacian", refuse)
-        monkeypatch.setattr(positivity, "laplacian", refuse)
-        rnd = random.Random(47)
-        p = parse("x1*x2^2*x1 + x2*x1^2*x2", 2)
-        for n in (1, 2, 5):
-            X = self._random_X(rnd, n)
-            assert subharmonic_at_point(p, X, SampleConfig(seed=8)).kind == "CertifiedAllH"
-        # A point that is not certified searches directions of the Laplacian.
-        with pytest.raises(AssertionError, match="laplacian called"):
-            subharmonic_at_point(parse("x1^3", 2), TestSubharmonicAtPoint.LATE_X, SampleConfig())
+        def counting(q):
+            calls.append(q)
+            return real(q)
+
+        p = parse("x1^3", 2)
+        points = [self._random_X(random.Random(47), n) for n in (1, 2)]
+        points += [self.LATE_X, (np.eye(2), np.zeros((2, 2))), self.LATE_X]
+        cfg = SampleConfig(seed=6, h_samples=20)
+
+        def verdicts(q):
+            out = []
+            for X in points:
+                v = subharmonic_at_point(q, X, cfg)
+                w = v.witness
+                out.append((v.kind, None if w is None else
+                            (w.n, w.sample_index, w.min_eig.hex(), w.H.tobytes())))
+            return out
+
+        monkeypatch.setattr(positivity, "laplacian", counting)
+        got = verdicts(p)
+        assert calls == [p]
+        assert "CounterexampleH" in [kind for kind, _ in got]
+        monkeypatch.undo()
+        assert got == verdicts(Poly._raw(p.g, dict(p._terms)))
 
     def test_rejects_h_and_nonsymmetric(self):
         cfg = SampleConfig(seed=6)

@@ -28,7 +28,6 @@ from ncharm.middlematrix import extract, reconstruct
 from ncharm.ncpoly import word, word_key
 
 from _helpers import (
-    assert_point_cells_match,
     assert_point_check_matches,
     express_oracle,
     laplacian_fraction_reference,
@@ -203,7 +202,7 @@ def test_point_check_equals_evaluate_middle(p, n, seed):
 
 def test_point_check_with_edge_letters():
     # The words of test_laplacian_and_extract_term_order_with_edge_letters, up
-    # to 8 letters over x1, x2 and x254: codes past int64 from 7 letters.
+    # to 8 letters over x1, x2 and x254.
     rnd = random.Random(30)
     X = random_point(rnd, 254, 2)
     for _ in range(100):
@@ -220,7 +219,7 @@ def test_point_check_with_edge_letters():
 def test_point_check_codes_past_int64_cancelled_and_reinserted():
     # With u = x1*x2*x254*x1*x2, Lap word u*h^2*x2 cancels within u*x2^3 and
     # comes back from u*x254^2*x2, after u*h*x2*h: words of 8 letters over
-    # x1, x2 and x254, so the codes are Python ints.
+    # x1, x2 and x254.
     u = (1, 2, 254, 1, 2)
     q = parse("x1*x2*x254*x1*x2*(x1^2*x2 - x2^3 + x254^2*x2)", 254)
     p = q + q.transpose()
@@ -241,7 +240,7 @@ def test_point_check_on_sweep_points():
 # The second is the reinsertion example of
 # test_point_check_equals_evaluate_middle, and the third cancels and
 # reinserts as in test_point_check_codes_past_int64_cancelled_and_reinserted,
-# with int64 codes.
+# over three letters.
 REINSERTED = [
     parse("x1*x4*x1 - x2*x4*x2 + x1*x5*x1 + x3*x4*x3", 5),
     parse("x1^2*x2 - x2^3 + x3^2*x2 + x2*x1^2 + x2*x3^2", 3),
@@ -250,30 +249,19 @@ REINSERTED = [
 ]
 
 
-def test_point_check_cells_on_sweep_points_and_reinsertions():
-    terms = list(laplacian(REINSERTED[0])._terms)
-    assert terms.index(word(0, 4, 0)) > terms.index(word(0, 5, 0))
-    # sweep_points() gives each member at four sizes in a row.
-    for p in [p for p, _ in sweep_points()[::4]] + REINSERTED:
-        assert_point_cells_match(p)
-
-
 def test_cells_list_terms_in_canonical_mid_order():
     rep = extract(parse("h*x2*h + h*x1*h", 2))
     assert list(rep.Z[0][0]._terms) == [word(1), word(2)]
     # Lap(x2^3 + x1^3) lists h*x2*h before h*x1*h, and REINSERTED[0]
     # lists h*x5*h before the reinserted h*x4*h.
-    for p in (parse("x2^3 + x1^3", 2), REINSERTED[0]):
+    terms = list(laplacian(REINSERTED[0])._terms)
+    assert terms.index(word(0, 4, 0)) > terms.index(word(0, 5, 0))
+    for p in [parse("x2^3 + x1^3", 2), *REINSERTED]:
         for row in extract(laplacian(p)).Z:
             for z in row:
                 assert list(z._terms) == sorted(z._terms, key=word_key)
-        assert_point_cells_match(p)
-
-
-@bounded
-@given(symmetric_h_free())
-def test_point_check_cells_follow_the_reference(p):
-    assert_point_cells_match(p)
+        for n in (1, 2):
+            assert_point_check_matches(p, random_point(random.Random(n), p.g, n))
 
 
 @bounded
