@@ -23,12 +23,12 @@ specific to two variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._exactla import MAX_NULLSPACE_ENTRIES, RowSpan, congruence_diagonalize
+from ._record import record
 from .calculus import directional_derivative, laplacian
 from .harmonicspace import (
     HarmonicBasis,
@@ -90,7 +90,7 @@ def _combine(g: int, pairs) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NeighborDecomposition:
     """Exact split of p by its leading (or trailing) length-m words.
 
@@ -168,7 +168,7 @@ class GramObstruction(ValueError):
         self.failing = list(failing)
 
 
-@dataclass(frozen=True)
+@record
 class GramForm:
     """p expressed as vec^T Phi vec over the half-degree harmonic basis.
 
@@ -293,7 +293,7 @@ def gram_from_neighbors(p: Poly) -> GramForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SosDecomposition:
     """p = sum_i d_i * R_i^T * R_i with every R_i harmonic of half degree.
 
@@ -325,7 +325,11 @@ def _squares(vectors: Sequence[Poly], gram, target: Poly) -> SosDecomposition:
 
 
 def sos_decompose(p: Poly) -> SosDecomposition:
-    """Congruence-diagonalize the Gram form of p into squares of harmonics."""
+    """Congruence-diagonalize the Gram form of p into squares of harmonics.
+
+    The zero polynomial, homogeneous of every degree, is the empty sum."""
+    if p.is_zero():
+        return SosDecomposition(g=p.g, terms=())
     form = gram_from_neighbors(p)
     dec = _squares(form.vectors, form.phi, p)
     for _, r in dec.terms:
@@ -371,7 +375,7 @@ def laplacian_sos_identity_check(dec: SosDecomposition) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Degree4Coeffs:
     """The six free coefficients of the symmetric degree-4 family."""
 
@@ -404,7 +408,7 @@ class Degree4Coeffs:
         return self.b1 + self.b4
 
 
-@dataclass(frozen=True)
+@record
 class Degree4Region:
     kind: str  # "StrictlyInside" | "Boundary" | "Violated"
     G: Fraction
@@ -514,7 +518,7 @@ def high_even_membership(p: Poly) -> Optional[tuple]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Verdict:
     """A classification: Harmonic, PurelySubharmonicCertified,
     SubharmonicBoundaryCertified (sos holds the squares of Lap(p), not of
@@ -647,7 +651,7 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class OddSandwich:
     """p = sum_{m,i,j} phi[m][i][j] gamma_m x_{i+1} gamma_j over the
     harmonic basis of degree (d-1)/2."""

@@ -14,7 +14,8 @@ supplies a default seed; an explicit --seed flag overrides it.
 
 Each subcommand imports the modules it needs when it runs.  numpy loads
 only for eval, sample and classify, so the exact subcommands start without
-it.
+it.  No module of the package imports dataclasses, so no subcommand pays
+for it (or for the inspect module it loads) at start-up.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import groupby
 from typing import TYPE_CHECKING
@@ -126,7 +126,7 @@ def _verdict_obj(v: classify2.Verdict) -> dict:
         c0, c1, c2 = v.membership
         obj["membership"] = {"c0": c0, "c1": c1, "c2": c2}
     if v.region is not None:
-        obj["region"] = asdict(v.region)
+        obj["region"] = {f: getattr(v.region, f) for f in v.region.__match_args__}
     if v.sos is not None:
         obj["sos"] = _sos_obj(v.sos)
     if v.witness is not None:
@@ -371,6 +371,8 @@ def _cmd_sos(args, stdin, out) -> int:
     dec = classify2.sos_decompose(p)
     if args.json:
         print(emit_json(_sos_obj(dec)), file=out)
+    elif not dec.terms:
+        print("zero polynomial: empty sum of squares", file=out)
     else:
         for d, r in dec.terms:
             print(f"{d}: {r.render()}", file=out)

@@ -13,13 +13,13 @@ test suite rather than one replacing the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Optional
 
 from ._exactla import RowSpan, sparse_nullspace
+from ._record import record
 from .ncpoly import Poly, Word, check_num_vars, render_word, word_key
 from .calculus import laplacian
 
@@ -65,7 +65,7 @@ def enumerate_words(g: int, d: int) -> list[Word]:
     return [bytes(w) for w in product(range(1, g + 1), repeat=d)]
 
 
-@dataclass(frozen=True)
+@record
 class LaplacianSystem:
     """Coefficient matrix of the Laplacian on degree-d words.
 
@@ -113,7 +113,7 @@ def laplacian_coefficient_matrix(g: int, d: int) -> LaplacianSystem:
     )
 
 
-@dataclass(frozen=True)
+@record
 class HarmonicBasis:
     """Reduced-echelon basis of the homogeneous harmonics for (g, d).
 

@@ -23,10 +23,10 @@ calculus, so no second expansion of the Laplacian lives beside extract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from ._record import record
 from .ncpoly import (
     _RUN_BYTES,
     H_LETTER,
@@ -55,7 +55,7 @@ __all__ = [
 
 _H = bytes([H_LETTER])
 
-@dataclass(frozen=True)
+@record
 class MiddleMatrixRep:
     g: int
     border: tuple          # distinct x-words m_i, canonical order

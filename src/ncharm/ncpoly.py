@@ -21,10 +21,11 @@ border/word enumerations use ascending canonical order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+
+from ._record import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -571,7 +572,7 @@ def parse(text: str, num_vars: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DegreeProfile:
     total_degree: int
     h_degree_per_word: dict
@@ -605,7 +606,7 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return np.triu(M) + np.triu(M, 1).T
 
 
-@dataclass(frozen=True)
+@record
 class MatrixPoint:
     """A tuple of real symmetric matrices for x1..xg, optionally one for h."""
 

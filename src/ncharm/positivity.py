@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._record import record
 from .calculus import laplacian
 from .middlematrix import evaluate_middle, extract
 from .ncpoly import _RUN_BYTES, H_LETTER, EvalPlan, Poly, _derived
@@ -140,7 +140,7 @@ def _fold(states: np.ndarray, parts: range) -> np.ndarray:
     return _mix(z)
 
 
-@dataclass(frozen=True)
+@record
 class SampleConfig:
     seed: int = 0
     sizes: tuple = (1, 2, 3, 4)
@@ -193,7 +193,7 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Witness:
     """A concrete refutation: evaluation point with a negative eigenvalue."""
 
@@ -204,7 +204,7 @@ class Witness:
     sample_index: int
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SampleVerdict:
     kind: str                      # "NoCounterexampleFound" | "Counterexample"
     witness: Optional[Witness]
@@ -212,7 +212,7 @@ class SampleVerdict:
     min_eigenvalue_seen: float
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PointVerdict:
     kind: str                      # "CertifiedAllH" | "CounterexampleH" | "Unknown"
     witness: Optional[Witness] = None

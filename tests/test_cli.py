@@ -277,6 +277,10 @@ class TestSos:
         assert code == 2
         assert "error:" in err
 
+    def test_zero_is_the_empty_sum(self):
+        assert run(["sos", "0"]) == (0, "zero polynomial: empty sum of squares\n", "")
+        assert run(["sos", "--json", "0"]) == (0, '{"terms":[]}\n', "")
+
 
 class TestOddSandwich:
     def test_re_gamma3(self):

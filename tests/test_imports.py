@@ -1,5 +1,5 @@
-"""The import contract: exact subcommands run without numpy, and the
-package re-exports its public names lazily.
+"""The import contract: exact subcommands run without numpy, dataclasses
+or inspect, and the package re-exports its public names lazily.
 
 Each case runs in a fresh interpreter, because an earlier import in the
 test process would hide what a command loads.
@@ -58,28 +58,50 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-RUN_CLI = """
+# Modules whose import costs a CLI process milliseconds of start-up.
+HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
+
+RUN_CLI = f"""
 import json, sys
 from ncharm import cli
 code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps(["numpy" in sys.modules, code]), file=sys.stderr)
+loaded = [m for m in {HEAVY_MODULES!r} if m in sys.modules]
+print(json.dumps([loaded, code]), file=sys.stderr)
 """
 
 
 def run_cli(argv):
+    """(heavy modules loaded, exit code, stdout) of one CLI run."""
     proc = run_python(RUN_CLI, json.dumps(argv))
-    numpy_loaded, code = json.loads(proc.stderr.strip().splitlines()[-1])
-    return numpy_loaded, code, proc.stdout
+    loaded, code = json.loads(proc.stderr.strip().splitlines()[-1])
+    return loaded, code, proc.stdout
 
 
 @pytest.mark.parametrize("command", sorted(EXACT_COMMANDS))
 def test_exact_command_never_loads_numpy(command):
-    numpy_loaded, code, out = run_cli(EXACT_COMMANDS[command])
-    assert (numpy_loaded, code) == (False, 0)
+    loaded, code, out = run_cli(EXACT_COMMANDS[command])
+    assert (loaded, code) == ([], 0)
     assert out
 
 
-@pytest.mark.parametrize("module", ["ncharm.ncpoly", "ncharm.calculus", "ncharm.middlematrix"])
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted((SRC / "ncharm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            found += [(path.stem, node.lineno) for m in modules if m.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+@pytest.mark.parametrize("module", [
+    "ncharm.ncpoly", "ncharm.calculus", "ncharm.middlematrix",
+    "ncharm.harmonicspace", "ncharm._exactla", "ncharm.classify2",
+])
 def test_exact_module_import_loads_no_numpy(module):
     # The float plan lives in ncpoly, so numpy must stay a call-time import.
     proc = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
@@ -89,12 +111,12 @@ def test_exact_module_import_loads_no_numpy(module):
 def test_float_commands_still_run(tmp_path):
     point = tmp_path / "point.json"
     point.write_text(json.dumps({"X": [[[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]]]}))
-    assert run_cli(["eval", "--point", str(point), "x1^2 + x2"]) == (
-        True, 0, "[[1,1],[1,4]]\n")
-    numpy_loaded, code, out = run_cli(["sample", "--seed", "1", "--samples", "3", "x1"])
-    assert (numpy_loaded, code, json.loads(out)["kind"]) == (True, 1, "Counterexample")
-    numpy_loaded, code, out = run_cli(["classify", "--seed", "1", "x1^3 + x2^3"])
-    assert (numpy_loaded, code) == (True, 1)
+    loaded, code, out = run_cli(["eval", "--point", str(point), "x1^2 + x2"])
+    assert ("numpy" in loaded, code, out) == (True, 0, "[[1,1],[1,4]]\n")
+    loaded, code, out = run_cli(["sample", "--seed", "1", "--samples", "3", "x1"])
+    assert ("numpy" in loaded, code, json.loads(out)["kind"]) == (True, 1, "Counterexample")
+    loaded, code, out = run_cli(["classify", "--seed", "1", "x1^3 + x2^3"])
+    assert ("numpy" in loaded, code) == (True, 1)
     assert out.startswith("verdict: NotSubharmonic\n")
 
 
