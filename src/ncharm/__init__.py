@@ -49,7 +49,7 @@ _EXPORTS = {
     "reconstruct": "middlematrix",
     "zeroes_violation": "middlematrix",
     "PointVerdict": "positivity",
-    "SampleConfig": "positivity",
+    "SampleConfig": "_sampleconfig",
     "SampleVerdict": "positivity",
     "Witness": "positivity",
     "ldl_pivots": "positivity",

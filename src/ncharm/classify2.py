@@ -2,17 +2,17 @@
 
 The decision procedure follows the structure of the underlying theory:
 
-  * harmonic inputs are recognized by an exact zero Laplacian;
-  * odd degree with a nonzero Laplacian is never subharmonic, and a witness
-    is found by a sign flip (the Laplacian of an odd polynomial is odd in x,
-    so negating X negates it);
-  * degree 2 reduces to the trace A1 + A2 of the quadratic part;
-  * degree 4 reduces to membership in a six-parameter family (four forced
-    coefficient relations) plus two exact rational inequalities on the
-    aggregates G, Hh, Jj, K; a boundary member is certified by the exact
-    squares of its Laplacian, read off the unique Gram matrix of Lap(p);
-  * even degree >= 6 reduces to membership in the three-generator family
-    c0*(Re gam^d)^2 + c1*Re gam^(2d) + c2*Im gam^(2d) with c0 >= 0.
+  * odd degree and degree 2 are read from the exact Laplacian: zero is
+    harmonic; odd degree with a nonzero Laplacian is never subharmonic,
+    with a witness found by a sign flip (Lap(p) is odd in x for odd p, so
+    negating X negates it); degree 2 reduces to the trace A1 + A2;
+  * every even degree 2m >= 4 is read from S, the unique Gram matrix of p
+    over the degree-m harmonics (gram_from_neighbors); a GramObstruction
+    refutes p.  At degree 4, S holds the six family coefficients, whose
+    aggregates G, Hh, Jj, K are zero iff p is harmonic and otherwise decide
+    it by two exact inequalities (a boundary member is certified by exact
+    squares of its Laplacian); at degree >= 6 it holds (c0, c1, c2) in
+    c0*(Re gam^m)^2 + c1*Re gam^(2m) + c2*Im gam^(2m), decided by c0.
 
 The Gram machinery (neighbor split at half degree, expression over the
 basis of half-degree harmonics, congruence diagonalization) works for any
@@ -24,23 +24,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._exactla import MAX_NULLSPACE_ENTRIES, RowSpan, congruence_diagonalize
 from ._record import record
-from .calculus import directional_derivative, laplacian
-from .harmonicspace import (
-    HarmonicBasis,
-    _row_span,
-    _vectorize,
-    gamma_power_parts,
-    harmonic_basis,
-)
+from ._sampleconfig import SampleConfig
+from .calculus import _check_laplacian_letters, directional_derivative, laplacian
+from .harmonicspace import HarmonicBasis, _row_span, _vectorize, harmonic_basis
 from .ncpoly import H_LETTER, Poly, Word, _sum_terms, render_word, word
 
 if TYPE_CHECKING:
-    from .positivity import SampleConfig, Witness
+    from .positivity import Witness
 
 __all__ = [
     "NeighborDecomposition",
@@ -478,39 +472,26 @@ def degree4_coefficients(p: Poly) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _membership_generators(d: int):
-    """The span of the generators (Re gam^d)^2, Re gam^(2d), Im gam^(2d)
-    as coefficient rows, with an explicit rank-3 independence check, and
-    the index of their words."""
-    re_d, _ = gamma_power_parts(d)
-    re_2d, im_2d = gamma_power_parts(2 * d)
-    gens = [re_d * re_d, re_2d, im_2d]
-    span, index = _row_span(gens, sorted({w for q in gens for w in q._terms}))
-    if span.rank != 3:
-        raise AssertionError(f"membership generators dependent at degree {2 * d}")
-    return span, index
-
-
 def high_even_membership(p: Poly) -> Optional[tuple]:
     """Exact (c0, c1, c2) with p = c0*(Re gam^d)^2 + c1*Re gam^(2d)
     + c2*Im gam^(2d), or None when p lies outside that family.
 
-    Defined for symmetric homogeneous p of degree 2d with d > 2.
+    Defined for homogeneous p of degree 2d with d > 2.  harmonic_basis(2, d)
+    is (R, I) = (Re gam^d, Im gam^d) and gam^(2d) = (R + iI)^2, so the
+    family's Gram matrices over it are S = [[c0 + c1, c2], [c2, -c1]].
     """
     if p.g != 2:
         raise ValueError("membership is defined for two variables")
     deg = p.homogeneous_degree()
     if deg is None or deg % 2 or deg // 2 <= 2:
         raise ValueError("degree must be 2d with d > 2")
-    d = deg // 2
-    span, index = _membership_generators(d)
-    if any(w not in index for w in p._terms):
+    if not p.is_symmetric():
         return None
-    coeffs = span.express(_vectorize(p, index))
-    if coeffs is None:
+    try:
+        S = gram_from_neighbors(p).phi
+    except GramObstruction:
         return None
-    return tuple(coeffs)
+    return (S[0][0] + S[1][1], -S[1][1], S[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +519,9 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
     Certified verdicts carry machine-checkable certificates: an inequality
     record, membership coefficients, or, on the degree-4 boundary, exact
     squares summing to Lap(p).  Refutations carry a numeric witness or an
-    exact algebraic obstruction.
+    exact algebraic obstruction.  Lap(p) of an even degree >= 4 is built
+    only for a witness or the boundary squares, and numpy only for a witness.
     """
-    import numpy as np
-
-    from .positivity import SampleConfig, Witness, odd_witness, sample_matrix_positive
-
     if cfg is None:
         cfg = SampleConfig()
     if p.g != 2:
@@ -555,33 +533,39 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
         raise ValueError("classification expects a homogeneous polynomial")
     if d > 2 and not p.is_symmetric():
         raise ValueError("degree > 2 classification requires a symmetric polynomial")
-
-    lap = laplacian(p)
-    if lap.is_zero():
-        return Verdict(kind="Harmonic", reason="Laplacian is exactly zero")
+    harmonic = Verdict(kind="Harmonic", reason="Laplacian is exactly zero")
 
     def refuted(reason: str, **certificate) -> Verdict:
         # An exact refutation, explained by a sampled witness.
-        witness = sample_matrix_positive(lap, cfg).witness
+        from .positivity import sample_matrix_positive
+
+        witness = sample_matrix_positive(laplacian(p), cfg).witness
         return Verdict(kind="NotSubharmonic", reason=reason, witness=witness,
                        **certificate)
 
-    if d % 2 == 1:
-        witness = odd_witness(lap, cfg)
-        return Verdict(
-            kind="NotSubharmonic",
-            reason="odd degree with nonzero Laplacian; positivity flips sign under X -> -X",
-            witness=witness,
-        )
+    if d % 2 or d < 4:
+        lap = laplacian(p)
+        if lap.is_zero():
+            return harmonic
+        if d % 2:
+            from .positivity import odd_witness
 
-    if d == 2:
-        # Lap(a*x1^2 + b*x2^2 + ...) = 2*(a + b)*h^2.
+            return Verdict(
+                kind="NotSubharmonic",
+                reason="odd degree with nonzero Laplacian; positivity flips sign under X -> -X",
+                witness=odd_witness(lap, cfg),
+            )
+        # d = 2: Lap(a*x1^2 + b*x2^2 + ...) = 2*(a + b)*h^2.
         trace = p.coefficient(word(1, 1)) + p.coefficient(word(2, 2))
         if trace > 0:
             return Verdict(
                 kind="PurelySubharmonicCertified",
                 reason=f"Laplacian equals ({2 * trace})*h^2",
             )
+        import numpy as np
+
+        from .positivity import Witness
+
         witness = Witness(
             n=1,
             X=(np.zeros((1, 1)), np.zeros((1, 1))),
@@ -595,20 +579,22 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
             witness=witness,
         )
 
+    _check_laplacian_letters(p)
     if d == 4:
-        A = degree4_coefficients(p)
-        forced = [
-            ("A4 = -A1", A["A4"] == -A["A1"]),
-            ("A10 = A1", A["A10"] == A["A1"]),
-            ("A9 = -A2", A["A9"] == -A["A2"]),
-            ("A7 = -A3", A["A7"] == -A["A3"]),
-        ]
-        broken = [name for name, ok in forced if not ok]
-        if broken:
+        try:
+            S = gram_from_neighbors(p).phi
+        except GramObstruction:
+            A = degree4_coefficients(p)
+            forced = {"A4 = -A1": A["A4"] == -A["A1"], "A10 = A1": A["A10"] == A["A1"],
+                      "A9 = -A2": A["A9"] == -A["A2"], "A7 = -A3": A["A7"] == -A["A3"]}
             return refuted("forced degree-4 coefficient relations fail: "
-                           + ", ".join(broken))
-        B = Degree4Coeffs(A["A1"], A["A2"], A["A3"], A["A5"], A["A6"], A["A8"])
-        region = degree4_inequalities(B)
+                           + ", ".join(name for name, ok in forced.items() if not ok))
+        # S is over (x1^2 - x2^2, x1*x2, x2*x1).  Lap(p) is linear in the
+        # four independent aggregates, so it is zero iff they all are.
+        (b1, b2, b3), (_, b6, b4), (_, _, b5) = S
+        region = degree4_inequalities(Degree4Coeffs(b1, b2, b3, b4, b5, b6))
+        if not (region.G or region.Hh or region.Jj or region.K):
+            return harmonic
         if region.kind == "StrictlyInside":
             return Verdict(
                 kind="PurelySubharmonicCertified",
@@ -632,6 +618,9 @@ def classify(p: Poly, cfg: Optional[SampleConfig] = None) -> Verdict:
     membership = high_even_membership(p)
     if membership is None:
         return refuted("outside the three-generator family for even degree >= 6")
+    # Lap(p) = c0 * Lap(Re gam^m ^2), which is not zero.
+    if membership[0] == 0:
+        return harmonic
     if membership[0] > 0:
         return Verdict(
             kind="PurelySubharmonicCertified",

@@ -13,9 +13,10 @@ deterministic for a fixed seed.  The environment variable NCHARM_SEED
 supplies a default seed; an explicit --seed flag overrides it.
 
 Each subcommand imports the modules it needs when it runs.  numpy loads
-only for eval, sample and classify, so the exact subcommands start without
-it.  No module of the package imports dataclasses, so no subcommand pays
-for it (or for the inspect module it loads) at start-up.
+only for eval, sample and a classify verdict with a witness, so the exact
+subcommands start without it.  No module of the package imports
+dataclasses, so no subcommand pays for it (or for the inspect module it
+loads) at start-up.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def _read_poly(args, stdin) -> Poly:
 
 
 def _sample_config(args) -> positivity.SampleConfig:
-    from .positivity import SampleConfig
+    from ._sampleconfig import SampleConfig
 
     seed = args.seed
     if seed is None:

@@ -356,6 +356,12 @@ class TestHighEvenMembership:
     def test_non_member(self):
         assert high_even_membership(parse("x1^6", 2)) is None
 
+    def test_non_symmetric_is_outside(self):
+        p = parse("x1^5*x2", 2)
+        with pytest.raises(ValueError, match="requires a symmetric polynomial"):
+            gram_from_neighbors(p)
+        assert high_even_membership(p) is None
+
     def test_two_variables_only(self):
         with pytest.raises(ValueError, match="membership is defined for two variables"):
             high_even_membership(parse("x1^6", 3))
@@ -393,7 +399,8 @@ class TestClassify:
             assert classify(re - im, CFG).kind == "Harmonic"
 
     def test_high_degree_family(self):
-        # Degrees 14 to 16 expand Laplacians of 5.2 to 31 million letters.
+        # Degree 15 expands a Laplacian of 12.9 million letters; degrees 14
+        # and 16 are read off their Gram forms and expand none.
         for d in (14, 15, 16):
             verdict = classify(gamma_power_parts(d)[d % 2], CFG)
             assert (verdict.kind, verdict.reason) == ("Harmonic", "Laplacian is exactly zero")
@@ -587,6 +594,160 @@ class TestClassify:
             classify(parse("h^2", 2), CFG)
         with pytest.raises(ValueError):
             classify(parse("x1^2*x2^2", 2), CFG)  # degree 4, not symmetric
+
+
+# The forced degree-4 relations, as (slot, sign, slot): A[lhs] = sign * A[rhs].
+FORCED = (("A4", -1, "A1"), ("A10", 1, "A1"), ("A9", -1, "A2"), ("A7", -1, "A3"))
+
+
+def _degree4_reading(S):
+    """Degree4Coeffs as classify reads them off S, the Gram matrix over
+    harmonic_basis(2, 2) = (x1^2 - x2^2, x1*x2, x2*x1)."""
+    return Degree4Coeffs(S[0][0], S[0][1], S[0][2], S[1][2], S[2][2], S[1][1])
+
+
+def _orbit_poly(A: dict) -> Poly:
+    """The symmetric degree-4 polynomial with orbit coefficients A."""
+    terms = {}
+    for name, w in classify2._DEG4_SLOTS.items():
+        terms[w] = terms[w[::-1]] = A[name]
+    return Poly(2, terms)
+
+
+class TestReadingsOfS:
+    """The readings classify takes off the unique Gram matrix S of p over
+    harmonic_basis(2, m); each test fails if its reading is wrong."""
+
+    def test_basis_is_the_gamma_parts(self):
+        for m in range(3, 9):
+            assert harmonic_basis(2, m).elements == gamma_power_parts(m)
+
+    def test_degree4_coeffs_are_read_off_S(self):
+        rnd = random.Random(61)
+        rational = lambda: Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))  # noqa: E731
+        kinds = set()
+        for _ in range(100):
+            B = Degree4Coeffs(*(rational() for _ in range(6)))
+            p = degree4_family(B)
+            if p.is_zero():
+                continue
+            A = degree4_coefficients(p)
+            assert _degree4_reading(gram_from_neighbors(p).phi) == B == Degree4Coeffs(
+                A["A1"], A["A2"], A["A3"], A["A5"], A["A6"], A["A8"])
+            region = degree4_inequalities(B)
+            kinds.add(region.kind)
+            if region.kind != "Violated":
+                assert classify(p, CFG).region == region
+        assert kinds == {"StrictlyInside", "Violated"}
+
+    def test_obstruction_iff_a_forced_relation_fails(self):
+        rnd = random.Random(62)
+        rational = lambda: Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))  # noqa: E731
+        obstructed = 0
+        for _ in range(160):
+            A = {name: rational() for name in classify2._DEG4_SLOTS}
+            A["A1"] = A["A1"] or Fraction(1)
+            for lhs, sign, rhs in FORCED:
+                if rnd.random() < 0.75:
+                    A[lhs] = sign * A[rhs]
+            broken = any(A[lhs] != sign * A[rhs] for lhs, sign, rhs in FORCED)
+            try:
+                gram_from_neighbors(_orbit_poly(A))
+            except GramObstruction:
+                assert broken
+                obstructed += 1
+            else:
+                assert not broken
+        assert 40 < obstructed < 120
+
+    def test_harmonic_is_read_off_S(self):
+        # Degree 4: the aggregates G, Hh, Jj, K are zero exactly on the
+        # harmonics, among them Re gam^4 and Im gam^4.
+        for q in gamma_power_parts(4):
+            region = degree4_inequalities(_degree4_reading(gram_from_neighbors(q).phi))
+            assert (region.G, region.Hh, region.Jj, region.K) == (0, 0, 0, 0)
+        rnd = random.Random(63)
+        rational = lambda: Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))  # noqa: E731
+        harmonic = 0
+        for _ in range(60):
+            s, t = rational(), rational()
+            if rnd.random() < 0.5:
+                B = Degree4Coeffs(t, s, s, -t, -t, -t)
+            else:
+                B = Degree4Coeffs(*(rational() for _ in range(6)))
+            region = degree4_inequalities(B)
+            zero = not (region.G or region.Hh or region.Jj or region.K)
+            assert laplacian(degree4_family(B)).is_zero() == zero
+            harmonic += zero
+        assert 10 < harmonic < 50
+        # Degree 2m >= 6: harmonic exactly when c0 = 0.
+        for m in range(3, 7):
+            re_m = gamma_power_parts(m)[0]
+            re_2m, im_2m = gamma_power_parts(2 * m)
+            for c0 in (0, 0, rational(), rational()):
+                c1, c2 = rational(), rational() or Fraction(1)
+                p = (re_m * re_m).scale(c0) + re_2m.scale(c1) + im_2m.scale(c2)
+                assert high_even_membership(p) == (c0, c1, c2)
+                assert (c0 == 0) == laplacian(p).is_zero()
+
+
+class TestClassifyReadsS:
+    """classify reads every even degree >= 4 off one gram_from_neighbors
+    call and builds Lap(p) only for a witness or the boundary squares."""
+
+    def _count(self, monkeypatch):
+        calls = {"laplacian": 0, "gram_from_neighbors": 0}
+        for name in calls:
+            def counting(*args, _f=getattr(classify2, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(classify2, name, counting)
+        return calls
+
+    def test_certified_and_harmonic_verdicts_expand_no_laplacian(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("an exact verdict sampled")
+
+        monkeypatch.setattr(positivity, "sample_matrix_positive", no_sampling)
+        re6, re8 = gamma_power_parts(6)[0], gamma_power_parts(8)[0]
+        cases = [
+            (re8 * re8, "PurelySubharmonicCertified", (1, 0, 0)),
+            (gamma_power_parts(16)[0], "Harmonic", None),
+            ((re6 * re6).scale(2) + gamma_power_parts(12)[1].scale(-3),
+             "PurelySubharmonicCertified", (2, 0, -3)),
+            (gamma_power_parts(4)[1], "Harmonic", None),
+            (degree4_family(Degree4Coeffs(1, 0, 0, 0, 1, 1)), "PurelySubharmonicCertified", None),
+        ]
+        calls = self._count(monkeypatch)
+        for p, kind, membership in cases:
+            v = classify(p, CFG)
+            assert (v.kind, v.membership) == (kind, membership)
+            assert calls == {"laplacian": 0, "gram_from_neighbors": 1}
+            calls.update(laplacian=0, gram_from_neighbors=0)
+
+    def test_laplacian_only_for_a_witness_or_squares(self, monkeypatch):
+        re3 = gamma_power_parts(3)[0]
+        cases = [
+            ((re3 * re3).scale(-1), "NotSubharmonic"),
+            (parse("x1^6", 2), "NotSubharmonic"),
+            (parse("x1^4", 2), "NotSubharmonic"),
+            (degree4_family(Degree4Coeffs(1, 0, 0, 0, 0, 0)), "SubharmonicBoundaryCertified"),
+        ]
+        calls = self._count(monkeypatch)
+        for p, kind in cases:
+            assert classify(p, CFG).kind == kind
+            assert calls == {"laplacian": 1, "gram_from_neighbors": 1}
+            calls.update(laplacian=0, gram_from_neighbors=0)
+
+    def test_degree_eighteen_member_refused_before_any_expansion(self, monkeypatch):
+        re9 = gamma_power_parts(9)[0]
+        calls = self._count(monkeypatch)
+        with pytest.raises(ValueError, match=(
+                "^Laplacian expansion to 90243072 letters exceeds "
+                "MAX_LAPLACIAN_LETTERS = 67108864$")):
+            classify(re9 * re9, CFG)
+        assert calls == {"laplacian": 0, "gram_from_neighbors": 0}
 
 
 class TestRemarkSpanningSet:

@@ -84,6 +84,38 @@ def test_exact_command_never_loads_numpy(command):
     assert out
 
 
+def test_exact_classify_verdicts_never_load_numpy():
+    # numpy and the sampler load only when a verdict samples or builds a
+    # witness: not for a certified degree-2 input, nor for a degree-6 member
+    # c0*(Re gam^3)^2 + c1*Re gam^6 + c2*Im gam^6 with c0 > 0.
+    from ncharm import gamma_power_parts
+
+    re3 = gamma_power_parts(3)[0]
+    member = ((re3 * re3).scale(2) + gamma_power_parts(6)[1].scale(5)).render()
+    for text, first in [("x1^2 + x2^2", "verdict: PurelySubharmonicCertified\n"),
+                        (member, "verdict: PurelySubharmonicCertified\n"),
+                        ("x1^2 - x2^2", "verdict: Harmonic\n")]:
+        loaded, code, out = run_cli(["classify", "--", text])
+        assert (loaded, code) == ([], 0)
+        assert out.startswith(first)
+    loaded, code, out = run_cli(["classify", "--", "x1^6 - x2^6"])
+    assert ("numpy" in loaded, code) == (True, 1)
+    assert out.startswith("verdict: NotSubharmonic\n")
+
+
+def test_sample_config_needs_no_numpy():
+    proc = run_python("""
+import json, sys
+import ncharm
+cfg = ncharm.SampleConfig(seed=3, sizes=(1, 2))
+before = "numpy" in sys.modules
+from ncharm import _sampleconfig, positivity
+same = positivity.SampleConfig is _sampleconfig.SampleConfig is ncharm.SampleConfig
+print(json.dumps([before, same, positivity.MAX_SAMPLE_SIZE, list(cfg.sizes)]))
+""")
+    assert json.loads(proc.stdout) == [False, True, 64, [1, 2]]
+
+
 def test_no_module_imports_dataclasses():
     found = []
     for path in sorted((SRC / "ncharm").glob("*.py")):
