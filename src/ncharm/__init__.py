@@ -9,7 +9,8 @@ variables, backed by reproducible numeric positivity sampling.
 Public names are re-exported lazily: each loads its submodule on first use,
 so a process that only does exact algebra never imports numpy or the
 sampler.  numpy loads with `positivity`, with `classify2`'s numeric
-branches, and inside the float functions of `ncpoly` and `middlematrix`.
+branches, with `ncpoly`'s matrix points, and with `_evalplan`, the float
+evaluation plan, which `evaluate` and `evaluate_middle` load when called.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .ncpoly import H_LETTER, Poly, _sum_terms
+from .ncpoly import H_LETTER, Poly, _derived, _sum_terms
 
 __all__ = [
     "directional_derivative",
@@ -69,18 +69,23 @@ def directional_derivative(p: Poly, i: int) -> Poly:
     ))
 
 
+def _laplacian_letters(p: Poly) -> int:
+    """The letters of Lap(p) before like terms combine: each word yields
+    one word of its length per pair of equal letters."""
+    return sum(
+        len(w) * sum(k * (k - 1) // 2 for k in map(w.count, set(w)))
+        for w in p._terms
+    )
+
+
 def _check_laplacian_letters(p: Poly) -> None:
     """Refuse p, with ValueError, when its Laplacian expands to more than
     MAX_LAPLACIAN_LETTERS letters."""
-    # Each word yields one word of its length per pair of equal letters, so
-    # with n the longest length at most C(n, 2) words of n letters; past
-    # that bound, count.
+    # With n the longest length, a word yields at most C(n, 2) words of n
+    # letters; past that bound, count, once per p.
     n = max(map(len, p._terms), default=0)
     if len(p._terms) * n * n * (n - 1) // 2 > MAX_LAPLACIAN_LETTERS:
-        letters = sum(
-            len(w) * sum(k * (k - 1) // 2 for k in map(w.count, set(w)))
-            for w in p._terms
-        )
+        letters = _derived(p, _laplacian_letters)
         if letters > MAX_LAPLACIAN_LETTERS:
             raise ValueError(
                 f"Laplacian expansion to {letters} letters exceeds "

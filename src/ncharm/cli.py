@@ -12,9 +12,13 @@ errors.  All diagnostics go to stderr; results go to stdout and are byte
 deterministic for a fixed seed.  The environment variable NCHARM_SEED
 supplies a default seed; an explicit --seed flag overrides it.
 
-Each subcommand imports the modules it needs when it runs.  numpy loads
-only for eval, sample and a classify verdict with a witness, so the exact
-subcommands start without it.  No module of the package imports
+Each subcommand imports the modules it needs when it runs.  numpy, and
+the float evaluation plan in _evalplan, load only for eval, sample and a
+classify verdict with a witness, so the exact subcommands start without
+them.  The CLI imports calculus only for derive, laplacian and
+collapse-check (harmonicspace and classify2 import it themselves), so
+middle-matrix runs without it, and json only where JSON is written or
+read, so the text output of an exact subcommand loads no json.  No module of the package imports
 dataclasses, so no subcommand pays for it (or for the inspect module it
 loads) at start-up.
 """
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
@@ -32,12 +35,6 @@ from fractions import Fraction
 from itertools import groupby
 from typing import TYPE_CHECKING
 
-from .calculus import (
-    commutative_collapse,
-    commutative_laplacian,
-    directional_derivative,
-    laplacian,
-)
 from .ncpoly import (
     H_LETTER,
     MatrixPoint,
@@ -69,12 +66,14 @@ def emit_json(obj) -> str:
     """Serialize with stable field order, rationals as "num/den" strings and
     doubles at 17 significant digits.  nan and inf raise ValueError, since
     JSON has no spelling for them."""
+    from json import dumps
+
     out: list[str] = []
-    _emit(obj, out)
+    _emit(obj, out, dumps)
     return "".join(out)
 
 
-def _emit(obj, out: list) -> None:
+def _emit(obj, out: list, dumps) -> None:
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -86,22 +85,22 @@ def _emit(obj, out: list) -> None:
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(dumps(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(k)))
+            out.append(dumps(str(k)))
             out.append(":")
-            _emit(v, out)
+            _emit(v, out, dumps)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
-            _emit(v, out)
+            _emit(v, out, dumps)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -262,16 +261,22 @@ def _print_poly(args, result: Poly, out) -> int:
 
 
 def _cmd_derive(args, stdin, out) -> int:
+    from .calculus import directional_derivative
+
     p = _read_poly(args, stdin)
     return _print_poly(args, directional_derivative(p, args.var), out)
 
 
 def _cmd_laplacian(args, stdin, out) -> int:
+    from .calculus import laplacian
+
     p = _read_poly(args, stdin)
     return _print_poly(args, laplacian(p), out)
 
 
 def _cmd_collapse_check(args, stdin, out) -> int:
+    from .calculus import commutative_collapse, commutative_laplacian, laplacian
+
     p = _read_poly(args, stdin)
     lhs = commutative_collapse(laplacian(p))
     rhs = commutative_laplacian(commutative_collapse(p)).times_h_power(2)
@@ -419,6 +424,8 @@ def _square_matrix(entry, name: str):
 
 
 def _cmd_eval(args, stdin, out) -> int:
+    import json
+
     import numpy as np
 
     p = _read_poly(args, stdin)
@@ -477,9 +484,10 @@ def main(argv=None, stdin=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # A point file's json.JSONDecodeError is a ValueError.
     try:
         return _COMMANDS[args.command](args, stdin, sys.stdout)
-    except (ParseError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ParseError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

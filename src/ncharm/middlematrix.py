@@ -19,6 +19,8 @@ positivity.subharmonic_at_point takes Z(X) from there.  Each cell sums its
 terms in canonical order of their middle words, so Z(X) does not depend on
 the order in which the Laplacian expands.  This module imports nothing from
 calculus, so no second expansion of the Laplacian lives beside extract.
+The float code of evaluate_middle lives in _evalplan, loaded when a
+representation is first evaluated, so building one loads no numpy.
 """
 
 from __future__ import annotations
@@ -27,20 +29,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._record import record
-from .ncpoly import (
-    _RUN_BYTES,
-    H_LETTER,
-    MatrixPoint,
-    Poly,
-    _chunks,
-    _compile,
-    _float_coefficients,
-    _products,
-    _sum_terms,
-    _word_rows,
-    render_word,
-    word_key,
-)
+from .ncpoly import H_LETTER, MatrixPoint, Poly, _sum_terms, render_word, word_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,17 +64,11 @@ class MiddleMatrixRep:
 
     @cached_property
     def _cells(self) -> tuple:
-        """The terms of every cell, cells in order, as _evaluate_cells takes
-        them: block rows, block columns, float coefficients, middle words as
-        rows of letters, and those words' prefix levels; built once per
-        representation."""
-        import numpy as np
+        """The cell terms compiled for float evaluation, as
+        _evalplan._evaluate_cells takes them; built once per representation."""
+        from ._evalplan import _cell_table
 
-        terms = self.cells
-        rows = _word_rows([t[2] for t in terms], None)
-        return (np.array([t[0] for t in terms], dtype=np.intp),
-                np.array([t[1] for t in terms], dtype=np.intp),
-                _float_coefficients([t[3] for t in terms]), rows, *_compile(rows))
+        return _cell_table(self.cells)
 
 
 def extract(q: Poly) -> MiddleMatrixRep:
@@ -136,40 +119,15 @@ def zeroes_violation(rep: MiddleMatrixRep) -> Optional[tuple[int, int]]:
     return next(((i, j) for i, j, _, _ in rep.cells if i not in diagonal), None)
 
 
-def _evaluate_cells(N: int, i, j, coef, rows, levels, index, X: tuple) -> np.ndarray:
-    """The N x N block matrix of terms added into their cells, symmetrized.
-
-    Term t adds coef[t] * P_t to block (i[t], j[t]), where P_t is the
-    product at X of its middle word, rows[t], whose prefix levels and
-    index are compiled by _compile.  Each block sums its terms in order
-    from +0.0 by one np.add.at, which equals, byte for byte, evaluating the
-    block's polynomial word by word.  The (N*n) x (N*n) result is averaged
-    with its transpose to remove floating point skew.
-    """
-    import numpy as np
-
-    n = X[0].shape[0]
-    if rows.max(initial=0) > len(X):
-        raise ValueError(f"point supplies {len(X)} matrices, poly uses more")
-    L = np.empty((len(X) + 1, n, n))
-    L[0] = np.eye(n)
-    L[1:] = X
-    M = np.zeros((N, N, n, n))
-    room = _RUN_BYTES // (8 * max(1, n * n)) - len(L)
-    for lo, hi, levels, index in _chunks(rows, levels, index, room)[1]:
-        np.add.at(M, (i[lo:hi], j[lo:hi]),
-                  coef[lo:hi, None, None] * _products(levels, index, L))
-    M = M.transpose(0, 2, 1, 3).reshape(N * n, N * n)
-    return (M + M.T) / 2.0
-
-
 def evaluate_middle(rep: MiddleMatrixRep, X: Sequence[np.ndarray]) -> np.ndarray:
     """Block evaluation of Z at X: block (i, j) is Z_ij(X).
 
     The terms of every cell and the prefix levels of their middle words are
     compiled once per representation (rep._cells).  Returns the (N*n) x
-    (N*n) matrix averaged with its transpose (see _evaluate_cells).
+    (N*n) matrix averaged with its transpose (see _evalplan._evaluate_cells).
     """
+    from ._evalplan import _evaluate_cells
+
     point = MatrixPoint(X=tuple(X))
     return _evaluate_cells(rep.size, *rep._cells, point.X)
 

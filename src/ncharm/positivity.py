@@ -19,7 +19,7 @@ of the Laplacian in every direction H at that point.  The point check takes
 Z(X) from evaluate_middle(extract(laplacian(p)), X), the one construction
 of the Laplacian's middle matrix, with Lap(p) kept on p.  The samplers run
 the EvalPlan that each Poly compiles once and keeps, and both multiply
-words in ncpoly's one kernel.
+words in _evalplan's one kernel.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._evalplan import _RUN_BYTES, EvalPlan
 from ._record import record
 from ._sampleconfig import MAX_SAMPLE_SIZE, SampleConfig
 from .calculus import laplacian
 from .middlematrix import evaluate_middle, extract
-from .ncpoly import _RUN_BYTES, H_LETTER, EvalPlan, Poly, _derived
+from .ncpoly import H_LETTER, Poly, _derived
 
 __all__ = [
     "SplitMix64",

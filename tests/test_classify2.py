@@ -33,7 +33,7 @@ from ncharm import (
     sos_decompose,
     word,
 )
-from ncharm import classify2, positivity
+from ncharm import calculus, classify2, positivity
 from ncharm._exactla import is_psd_rational
 from ncharm.classify2 import _laplacian_squares
 
@@ -748,6 +748,34 @@ class TestClassifyReadsS:
                 "MAX_LAPLACIAN_LETTERS = 67108864$")):
             classify(re9 * re9, CFG)
         assert calls == {"laplacian": 0, "gram_from_neighbors": 0}
+
+    def test_refutation_counts_laplacian_letters_once(self, monkeypatch):
+        # With the cap at Lap(p)'s letter count, classify's own check and the
+        # Laplacian built for the witness both take the counting path; the
+        # count is kept on p, so it runs once and p is not refused.
+        re3 = gamma_power_parts(3)[0]
+        p = (re3 * re3).scale(-1)
+        letters = calculus._laplacian_letters(p)
+        monkeypatch.setattr(calculus, "MAX_LAPLACIAN_LETTERS", letters)
+        counted = []
+
+        def counting(q, _f=calculus._laplacian_letters):
+            counted.append(q)
+            return _f(q)
+
+        monkeypatch.setattr(calculus, "_laplacian_letters", counting)
+        assert classify(p, CFG).kind == "NotSubharmonic"
+        assert counted == [p]
+        # One letter less refuses a fresh copy, with the same message, before
+        # S is read or anything expands.
+        monkeypatch.setattr(calculus, "MAX_LAPLACIAN_LETTERS", letters - 1)
+        calls = self._count(monkeypatch)
+        with pytest.raises(ValueError, match=(
+                f"^Laplacian expansion to {letters} letters exceeds "
+                f"MAX_LAPLACIAN_LETTERS = {letters - 1}$")):
+            classify((re3 * re3).scale(-1), CFG)
+        assert calls == {"laplacian": 0, "gram_from_neighbors": 0}
+        assert len(counted) == 2
 
 
 class TestRemarkSpanningSet:

@@ -357,6 +357,15 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == f"error: the point file {point} nests too deeply to decode\n"
 
+    def test_truncated_json_point_file(self, tmp_path):
+        # json.JSONDecodeError is a ValueError, so main reports it as one.
+        point = tmp_path / "point.json"
+        point.write_text('{"X": [')
+        code, out, err = run(["eval", "--point", str(point), "x1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Expecting value" in err
+
 
 class TestSample:
     def test_counterexample_exit(self):

@@ -1,11 +1,14 @@
-"""The import contract: exact subcommands run without numpy, dataclasses
-or inspect, and the package re-exports its public names lazily.
+"""The import contract: exact subcommands run without numpy, dataclasses,
+inspect or the float evaluation plan, text output loads no json, and the
+package re-exports its public names lazily.
 
 Each case runs in a fresh interpreter, because an earlier import in the
 test process would hide what a command loads.
 """
 
 import ast
+import functools
+import importlib
 import json
 import os
 import subprocess
@@ -61,20 +64,56 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
 # Modules whose import costs a CLI process milliseconds of start-up.
 HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
 
-RUN_CLI = f"""
-import json, sys
+# The argv comes through sys.argv and the modules are listed before json is
+# imported to report them, so the script itself loads nothing it checks.
+RUN_CLI = """
+import sys
 from ncharm import cli
-code = cli.main(json.loads(sys.argv[1]))
-loaded = [m for m in {HEAVY_MODULES!r} if m in sys.modules]
+code = cli.main(sys.argv[1:])
+loaded = sorted(sys.modules)
+import json
 print(json.dumps([loaded, code]), file=sys.stderr)
 """
 
 
-def run_cli(argv):
-    """(heavy modules loaded, exit code, stdout) of one CLI run."""
-    proc = run_python(RUN_CLI, json.dumps(argv))
+@functools.lru_cache(maxsize=None)
+def _run_cli(argv: tuple) -> tuple:
+    proc = run_python(RUN_CLI, *argv)
     loaded, code = json.loads(proc.stderr.strip().splitlines()[-1])
     return loaded, code, proc.stdout
+
+
+def run_cli(argv, watched=HEAVY_MODULES):
+    """(the watched modules loaded, exit code, stdout) of one CLI run."""
+    loaded, code, out = _run_cli(tuple(argv))
+    return [m for m in watched if m in loaded], code, out
+
+
+def float_plan_modules(argv):
+    """The package modules loaded by one CLI run that define the float
+    plan's word-product kernel, _products."""
+    loaded, _, _ = _run_cli(tuple(argv))
+    return [m for m in loaded if m.startswith("ncharm.")
+            and hasattr(importlib.import_module(m), "_products")]
+
+
+def exact_classify_inputs():
+    """(polynomial, first line of its verdict) for classify inputs whose
+    verdict neither samples nor builds a witness, among them a degree-6
+    member c0*(Re gam^3)^2 + c1*Re gam^6 + c2*Im gam^6 with c0 > 0."""
+    from ncharm import gamma_power_parts
+
+    re3 = gamma_power_parts(3)[0]
+    member = ((re3 * re3).scale(2) + gamma_power_parts(6)[1].scale(5)).render()
+    return [("x1^2 + x2^2", "verdict: PurelySubharmonicCertified\n"),
+            (member, "verdict: PurelySubharmonicCertified\n"),
+            ("x1^2 - x2^2", "verdict: Harmonic\n")]
+
+
+def exact_runs():
+    """The argv of every exact subcommand and every exact classify verdict."""
+    return [*EXACT_COMMANDS.values(),
+            *(["classify", "--", text] for text, _ in exact_classify_inputs())]
 
 
 @pytest.mark.parametrize("command", sorted(EXACT_COMMANDS))
@@ -86,21 +125,89 @@ def test_exact_command_never_loads_numpy(command):
 
 def test_exact_classify_verdicts_never_load_numpy():
     # numpy and the sampler load only when a verdict samples or builds a
-    # witness: not for a certified degree-2 input, nor for a degree-6 member
-    # c0*(Re gam^3)^2 + c1*Re gam^6 + c2*Im gam^6 with c0 > 0.
-    from ncharm import gamma_power_parts
-
-    re3 = gamma_power_parts(3)[0]
-    member = ((re3 * re3).scale(2) + gamma_power_parts(6)[1].scale(5)).render()
-    for text, first in [("x1^2 + x2^2", "verdict: PurelySubharmonicCertified\n"),
-                        (member, "verdict: PurelySubharmonicCertified\n"),
-                        ("x1^2 - x2^2", "verdict: Harmonic\n")]:
+    # witness.
+    for text, first in exact_classify_inputs():
         loaded, code, out = run_cli(["classify", "--", text])
         assert (loaded, code) == ([], 0)
         assert out.startswith(first)
     loaded, code, out = run_cli(["classify", "--", "x1^6 - x2^6"])
     assert ("numpy" in loaded, code) == (True, 1)
     assert out.startswith("verdict: NotSubharmonic\n")
+
+
+def test_no_exact_command_compiles_the_float_plan(tmp_path):
+    # Neither an exact subcommand nor an exact classify verdict loads a
+    # module that defines the float plan; eval loads _evalplan, its one home.
+    runs = exact_runs()
+    assert [float_plan_modules(argv) for argv in runs] == [[]] * len(runs)
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"X": [[[1.0]], [[2.0]]]}))
+    assert float_plan_modules(["eval", "--point", str(point), "x1*x2"]) == ["ncharm._evalplan"]
+
+
+def test_middle_matrix_loads_no_calculus():
+    text = EXACT_COMMANDS["middle-matrix"]
+    for argv in (text, [text[0], "--json", *text[1:]]):
+        loaded, code, out = run_cli(argv, watched=("ncharm.calculus",))
+        assert (loaded, code) == ([], 0)
+        assert out
+    loaded, code, _ = run_cli(EXACT_COMMANDS["derive"], watched=("ncharm.calculus",))
+    assert (loaded, code) == (["ncharm.calculus"], 0)
+
+
+def test_text_output_loads_no_json():
+    for argv in exact_runs():
+        loaded, code, out = run_cli(argv, watched=("json",))
+        assert (loaded, code) == ([], 0)
+        assert out
+    loaded, code, out = run_cli(["laplacian", "--json", "x1^2"], watched=("json",))
+    assert (loaded, code) == (["json"], 0)
+    assert json.loads(out)["g"] == 2
+
+
+def _numpy_imports(tree: ast.Module) -> list:
+    """(enclosing class and function names, or None at module level) of
+    each numpy import, skipping `if TYPE_CHECKING:` blocks."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            return
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "numpy" for m in modules):
+            found.append(".".join(scope) or None)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_numpy_is_imported_only_where_floats_are_made():
+    # At module level only by the sampler and the float plan; inside a
+    # function only where an exact module builds matrices or a witness, and
+    # by the CLI's eval.
+    found = [
+        (path.stem, scope)
+        for path in sorted((SRC / "ncharm").glob("*.py"))
+        for scope in _numpy_imports(ast.parse(path.read_text("utf-8")))
+    ]
+    assert sorted(found, key=str) == sorted([
+        ("_evalplan", None),
+        ("positivity", None),
+        ("ncpoly", "symmetrize"),
+        ("ncpoly", "MatrixPoint.__post_init__"),
+        ("classify2", "classify"),
+        ("cli", "_square_matrix"),
+        ("cli", "_cmd_eval"),
+    ], key=str)
 
 
 def test_sample_config_needs_no_numpy():
@@ -135,7 +242,8 @@ def test_no_module_imports_dataclasses():
     "ncharm.harmonicspace", "ncharm._exactla", "ncharm.classify2",
 ])
 def test_exact_module_import_loads_no_numpy(module):
-    # The float plan lives in ncpoly, so numpy must stay a call-time import.
+    # The float plan lives in _evalplan, which imports numpy at its top;
+    # these modules load it only when they evaluate.
     proc = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 

@@ -23,7 +23,8 @@ from ncharm import (
     zeroes_violation,
 )
 from ncharm.cli import run
-from ncharm.ncpoly import _compile, word_key
+from ncharm._evalplan import _compile
+from ncharm.ncpoly import word_key
 
 from _helpers import (
     assert_point_check_matches,
@@ -232,7 +233,7 @@ class TestEvaluateMiddle:
             assert evaluate_middle(rep, X).tobytes() == want.tobytes()
 
     def test_plan_is_compiled_once_per_rep(self, monkeypatch):
-        from ncharm import middlematrix
+        from ncharm import _evalplan
 
         compiled = []
 
@@ -240,7 +241,7 @@ class TestEvaluateMiddle:
             compiled.append(len(rows))
             return _compile(rows)
 
-        monkeypatch.setattr(middlematrix, "_compile", counting_compile)
+        monkeypatch.setattr(_evalplan, "_compile", counting_compile)
         rep = extract(laplacian(parse("x1^2*x2^2 + x2^2*x1^2 + x1^4", 2)))
         X = (np.diag([1.0, -2.0]), np.array([[0.5, 1.0], [1.0, 0.0]]))
         first = evaluate_middle(rep, X).tobytes()

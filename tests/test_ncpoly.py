@@ -18,10 +18,10 @@ from ncharm import (
     word,
 )
 from ncharm.cli import emit_json
-from ncharm import middlematrix, ncpoly
+from ncharm import _evalplan, ncpoly
 from ncharm.harmonicspace import gamma_power_parts
 from ncharm.middlematrix import evaluate_middle, extract
-from ncharm.ncpoly import EvalPlan
+from ncharm._evalplan import EvalPlan
 
 from _helpers import (
     evaluate_oracle,
@@ -373,7 +373,7 @@ class TestEvalPlanKernel:
             n = pt.n
             want = [[evaluate_oracle(z, pt) for z in row] for row in Z]
             got = [evaluate_middle(rep, pt.X)]
-            monkeypatch.setattr(middlematrix, "_RUN_BYTES", 8 * n * n)
+            monkeypatch.setattr(_evalplan, "_RUN_BYTES", 8 * n * n)
             got.append(evaluate_middle(rep, pt.X))
             monkeypatch.undo()
             for M in got:
@@ -393,15 +393,15 @@ class TestEvalPlanKernel:
         mats = [np.stack([pt.H for pt in points])]
         mats += [np.stack([pt.X[i] for pt in points]) for i in range(2)]
         runs = [plan.run(mats)]
-        cost = ncpoly._cost(plan._levels, len(plan._rows))
+        cost = _evalplan._cost(plan._levels, len(plan._rows))
         letters = 1 + len(plan.letters)
         # Slices of 3 samples: 0-2, 3-5, 6-8 and 9.
-        monkeypatch.setattr(ncpoly, "_RUN_BYTES", 8 * n * n * (3 * cost + letters))
+        monkeypatch.setattr(_evalplan, "_RUN_BYTES", 8 * n * n * (3 * cost + letters))
         runs.append(plan.run(mats))
         # One sample at a time, the terms in chunks.
         room = cost // 3
-        monkeypatch.setattr(ncpoly, "_RUN_BYTES", 8 * n * n * (room + letters))
-        assert len(ncpoly._chunks(plan._rows, plan._levels, plan._index, room)[1]) > 2
+        monkeypatch.setattr(_evalplan, "_RUN_BYTES", 8 * n * n * (room + letters))
+        assert len(_evalplan._chunks(plan._rows, plan._levels, plan._index, room)[1]) > 2
         runs.append(plan.run(mats))
         for s, pt in enumerate(points):
             want = evaluate_oracle(p, pt).tobytes()
@@ -418,19 +418,18 @@ class TestEvalPlanKernel:
         n = 64
         for rows, levels, index, room in (
             (plan._rows, plan._levels, plan._index,
-             ncpoly._RUN_BYTES // (8 * n * n) - 1 - len(plan.letters)),
-            (rep._cells[3], *rep._cells[4:], ncpoly._RUN_BYTES // (8 * n * n) - 3),
+             _evalplan._RUN_BYTES // (8 * n * n) - 1 - len(plan.letters)),
+            (rep._cells[3], *rep._cells[4:], _evalplan._RUN_BYTES // (8 * n * n) - 3),
         ):
-            step, chunks = ncpoly._chunks(rows, levels, index, room)
+            step, chunks = _evalplan._chunks(rows, levels, index, room)
             assert step == 1 and len(chunks) > 1
             bounds = [(lo, hi) for lo, hi, _, _ in chunks]
             assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
             assert bounds[-1][1] == len(rows)
-            assert all(ncpoly._cost(lv, hi - lo) <= room for lo, hi, lv, _ in chunks)
+            assert all(_evalplan._cost(lv, hi - lo) <= room for lo, hi, lv, _ in chunks)
         pt = self._point(random.Random(45), 2, n)
         split = [plan.run([pt.H, *pt.X]), evaluate_middle(rep, pt.X)]
-        monkeypatch.setattr(ncpoly, "_RUN_BYTES", 1 << 40)
-        monkeypatch.setattr(middlematrix, "_RUN_BYTES", 1 << 40)
+        monkeypatch.setattr(_evalplan, "_RUN_BYTES", 1 << 40)
         whole = [plan.run([pt.H, *pt.X]), evaluate_middle(rep, pt.X)]
         assert [M.tobytes() for M in split] == [M.tobytes() for M in whole]
 
@@ -458,7 +457,7 @@ class TestEvalPlanKernel:
                          for _ in range(3)]
         assert nodes >= 10_000
         # Every product of the plan at once would fill the budget 4 times.
-        assert nodes * S * n * n * 8 > 4 * ncpoly._RUN_BYTES
+        assert nodes * S * n * n * 8 > 4 * _evalplan._RUN_BYTES
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -466,7 +465,7 @@ class TestEvalPlanKernel:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= ncpoly._RUN_BYTES
+        assert peak <= _evalplan._RUN_BYTES
 
 
 class TestEvalPlanCompile:
@@ -481,7 +480,7 @@ class TestEvalPlanCompile:
             calls.append(c)
             return float(c)
 
-        monkeypatch.setattr(ncpoly, "_float_coefficient", counting)
+        monkeypatch.setattr(_evalplan, "_float_coefficient", counting)
         return calls
 
     def _objects(self, polys):

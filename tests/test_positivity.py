@@ -21,7 +21,7 @@ from ncharm import (
     subharmonic_at_point,
     symmetrize,
 )
-from ncharm import ncpoly, positivity
+from ncharm import _evalplan, positivity
 from ncharm.positivity import (
     SplitMix64,
     _check_numeric_symmetry,
@@ -222,13 +222,13 @@ class TestPlanKeptOnPoly:
 
     def _count(self, monkeypatch):
         built = []
-        init = ncpoly.EvalPlan.__init__
+        init = _evalplan.EvalPlan.__init__
 
         def counting(plan, p):
             built.append(p)
             init(plan, p)
 
-        monkeypatch.setattr(ncpoly.EvalPlan, "__init__", counting)
+        monkeypatch.setattr(_evalplan.EvalPlan, "__init__", counting)
         return built
 
     def test_sampler_compiles_once(self, monkeypatch):
@@ -265,7 +265,7 @@ class TestPlanKeptOnPoly:
             assert p.is_symmetric() == (p == p.transpose())
             x1, x2, h = random_point(rnd, 3, 2)
             pt = MatrixPoint(X=(x1, x2), H=h)
-            want = ncpoly.EvalPlan(fresh).run([pt.H, *pt.X]).tobytes()
+            want = _evalplan.EvalPlan(fresh).run([pt.H, *pt.X]).tobytes()
             assert [evaluate(p, pt).tobytes() for _ in range(2)] == [want] * 2
             if p.is_symmetric():
                 want = _canon_verdict(sample_matrix_positive(fresh, cfg))
